@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test obs-check obs-report obs-timeline obs-live lint bench bench-batch bench-offline bench-lattice bench-runtime bench-parallel bench-wire bench-report examples all clean
+.PHONY: install test obs-check obs-report obs-timeline obs-live lint bench bench-batch bench-offline bench-lattice bench-runtime bench-parallel bench-wire bench-decompose bench-report examples all clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -99,6 +99,14 @@ bench-parallel:
 # BENCH_WIRE_OUT=path to write the snapshot elsewhere.
 bench-wire:
 	$(PYTHON) -m pytest benchmarks/test_bench_wire.py -q
+
+# Edge-decomposition scaling (decompose on 60 to 2,010 processes);
+# refreshes BENCH_decompose.json.  Set BENCH_DECOMPOSE_SMOKE=1 for a
+# quick two-row run that leaves the committed snapshot untouched (the
+# CI smoke step); set BENCH_DECOMPOSE_OUT=path to write the snapshot
+# elsewhere.
+bench-decompose:
+	$(PYTHON) -m pytest benchmarks/test_bench_decompose.py -q
 
 bench-report:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s

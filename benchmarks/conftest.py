@@ -47,6 +47,10 @@ _PARALLEL_SNAPSHOT: Dict[str, object] = {}
 #: ``BENCH_wire.json`` at session end.
 _WIRE_SNAPSHOT: Dict[str, object] = {}
 
+#: Edge-decomposition scaling entries (see ``record_decompose_perf``),
+#: flushed to ``BENCH_decompose.json`` at session end.
+_DECOMPOSE_SNAPSHOT: Dict[str, object] = {}
+
 PERF_SNAPSHOT_PATH = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 )
@@ -73,6 +77,10 @@ PARALLEL_SNAPSHOT_PATH = (
 
 WIRE_SNAPSHOT_PATH = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_wire.json"
+)
+
+DECOMPOSE_SNAPSHOT_PATH = (
+    pathlib.Path(__file__).resolve().parent.parent / "BENCH_decompose.json"
 )
 
 
@@ -144,6 +152,16 @@ def record_wire_perf(key: str, value) -> None:
     wire, stamp+encode throughput, and comparison throughput.
     """
     _WIRE_SNAPSHOT[key] = value
+
+
+def record_decompose_perf(key: str, value) -> None:
+    """Add one entry to the ``BENCH_decompose.json`` perf snapshot.
+
+    Tracks ``decompose`` wall time and decomposition size as the
+    process count grows, next to the same rows measured on the naive
+    restart-from-scratch Figure 7.
+    """
+    _DECOMPOSE_SNAPSHOT[key] = value
 
 
 def _utc_now_iso() -> str:
@@ -352,6 +370,36 @@ def _write_wire_snapshot():
         return
     else:
         path = WIRE_SNAPSHOT_PATH
+    path.write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _write_decompose_snapshot():
+    """Flush recorded decomposition entries to ``BENCH_decompose.json``.
+
+    Smoke runs (``BENCH_DECOMPOSE_SMOKE=1``, the CI smoke step) leave
+    the committed snapshot untouched; ``BENCH_DECOMPOSE_OUT`` redirects
+    the (smoke or full) snapshot elsewhere.
+    """
+    import os
+
+    _DECOMPOSE_SNAPSHOT.clear()
+    yield
+    if not _DECOMPOSE_SNAPSHOT:
+        return
+    payload = dict(_DECOMPOSE_SNAPSHOT)
+    payload["generated_utc"] = _utc_now_iso()
+    override = os.environ.get("BENCH_DECOMPOSE_OUT")
+    if override:
+        path = pathlib.Path(override)
+        path.parent.mkdir(parents=True, exist_ok=True)
+    elif os.environ.get("BENCH_DECOMPOSE_SMOKE") == "1":
+        return
+    else:
+        path = DECOMPOSE_SNAPSHOT_PATH
     path.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",

@@ -3,10 +3,10 @@
 The communication topology of a synchronous system is an undirected
 graph ``G = (V, E)`` whose vertices are processes and whose edges are
 the pairs of processes that may communicate directly.  This module
-implements that graph from scratch (adjacency sets, deterministic
-iteration order) together with the structural predicates the paper's
-algorithms rely on: star and triangle recognition, degrees, acyclicity,
-connected components and triangle enumeration.
+implements that graph from scratch (insertion-ordered adjacency maps,
+deterministic iteration order) together with the structural predicates
+the paper's algorithms rely on: star and triangle recognition, degrees,
+acyclicity, connected components and triangle enumeration.
 
 Edges are *unordered* pairs; :class:`Edge` normalises the endpoint order
 so ``Edge('a', 'b') == Edge('b', 'a')`` and the pair can be used as a
@@ -115,6 +115,12 @@ class UndirectedGraph:
 
     Vertices and edges iterate in insertion order, so every algorithm in
     the library produces reproducible output for a fixed input.
+
+    Each vertex maps its neighbours to the connecting :class:`Edge` in
+    an insertion-ordered dict, so adjacency tests, incident-edge lists
+    and edge removal are all O(1) per edge and never rebuild an
+    :class:`Edge`.  Because edges are only ever appended or deleted,
+    every vertex's dict lists its edges in global edge-insertion order.
     """
 
     def __init__(
@@ -122,10 +128,9 @@ class UndirectedGraph:
         vertices: Iterable[Vertex] = (),
         edges: Iterable = (),
     ):
-        self._adjacency: Dict[Vertex, Set[Vertex]] = {}
-        self._vertex_order: List[Vertex] = []
-        self._edge_order: List[Edge] = []
-        self._edge_set: Set[Edge] = set()
+        self._adjacency: Dict[Vertex, Dict[Vertex, Edge]] = {}
+        self._index: Dict[Vertex, int] = {}
+        self._edges: Dict[Edge, None] = {}
         for vertex in vertices:
             self.add_vertex(vertex)
         for edge in edges:
@@ -136,81 +141,77 @@ class UndirectedGraph:
     # ------------------------------------------------------------------
     def add_vertex(self, vertex: Vertex) -> None:
         if vertex not in self._adjacency:
-            self._adjacency[vertex] = set()
-            self._vertex_order.append(vertex)
+            self._adjacency[vertex] = {}
+            self._index[vertex] = len(self._index)
 
     def add_edge(self, u: Vertex, v: Vertex) -> Edge:
         edge = Edge(u, v)
         self.add_vertex(u)
         self.add_vertex(v)
-        if edge not in self._edge_set:
-            self._edge_set.add(edge)
-            self._edge_order.append(edge)
-            self._adjacency[u].add(v)
-            self._adjacency[v].add(u)
+        if edge not in self._edges:
+            self._edges[edge] = None
+            self._adjacency[u][v] = edge
+            self._adjacency[v][u] = edge
         return edge
 
     def remove_edge(self, u: Vertex, v: Vertex) -> None:
-        edge = Edge(u, v)
-        if edge not in self._edge_set:
-            raise EdgeNotFoundError(f"edge {edge!r} not in graph")
-        self._edge_set.remove(edge)
-        self._edge_order.remove(edge)
-        self._adjacency[u].discard(v)
-        self._adjacency[v].discard(u)
+        self._remove(Edge(u, v))
 
     def remove_edges(self, edges: Iterable) -> None:
         for edge_like in list(edges):
-            edge = as_edge(edge_like)
-            self.remove_edge(edge.u, edge.v)
+            self._remove(as_edge(edge_like))
+
+    def _remove(self, edge: Edge) -> None:
+        if edge not in self._edges:
+            raise EdgeNotFoundError(f"edge {edge!r} not in graph")
+        del self._edges[edge]
+        del self._adjacency[edge.u][edge.v]
+        del self._adjacency[edge.v][edge.u]
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     @property
     def vertices(self) -> Tuple[Vertex, ...]:
-        return tuple(self._vertex_order)
+        return tuple(self._adjacency)
 
     @property
     def edges(self) -> Tuple[Edge, ...]:
-        return tuple(self._edge_order)
+        return tuple(self._edges)
 
     def vertex_count(self) -> int:
-        return len(self._vertex_order)
+        return len(self._adjacency)
 
     def edge_count(self) -> int:
-        return len(self._edge_order)
+        return len(self._edges)
 
     def __contains__(self, vertex: Vertex) -> bool:
         return vertex in self._adjacency
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        if u == v:
-            return False
-        return Edge(u, v) in self._edge_set
+        return u != v and v in self._adjacency.get(u, ())
 
     def neighbors(self, vertex: Vertex) -> List[Vertex]:
         """Neighbours of ``vertex`` in deterministic (insertion) order."""
         self._require_vertex(vertex)
-        adjacent = self._adjacency[vertex]
-        return [v for v in self._vertex_order if v in adjacent]
+        return sorted(self._adjacency[vertex], key=self._index.__getitem__)
 
     def degree(self, vertex: Vertex) -> int:
         self._require_vertex(vertex)
         return len(self._adjacency[vertex])
 
     def degrees(self) -> Dict[Vertex, int]:
-        return {v: len(self._adjacency[v]) for v in self._vertex_order}
+        return {v: len(adjacent) for v, adjacent in self._adjacency.items()}
 
     def max_degree(self) -> int:
-        if not self._vertex_order:
+        if not self._adjacency:
             return 0
-        return max(len(self._adjacency[v]) for v in self._vertex_order)
+        return max(len(adjacent) for adjacent in self._adjacency.values())
 
     def incident_edges(self, vertex: Vertex) -> List[Edge]:
-        """Edges incident to ``vertex`` in deterministic order."""
+        """Edges incident to ``vertex`` in edge-insertion order."""
         self._require_vertex(vertex)
-        return [e for e in self._edge_order if e.incident_to(vertex)]
+        return list(self._adjacency[vertex].values())
 
     def adjacent_edge_count(self, edge_like) -> int:
         """Number of edges sharing an endpoint with the given edge.
@@ -219,10 +220,10 @@ class UndirectedGraph:
         this quantity.
         """
         edge = as_edge(edge_like)
-        if edge not in self._edge_set:
+        if edge not in self._edges:
             raise EdgeNotFoundError(f"edge {edge!r} not in graph")
         return (
-            self.degree(edge.u) + self.degree(edge.v) - 2
+            len(self._adjacency[edge.u]) + len(self._adjacency[edge.v]) - 2
         )
 
     def _require_vertex(self, vertex: Vertex) -> None:
@@ -241,48 +242,54 @@ class UndirectedGraph:
         vertex, or ``None`` for the empty graph).  Returns ``None`` when
         the graph is not a star.
         """
-        if not self._edge_order:
-            return self._vertex_order[0] if self._vertex_order else None
-        first = self._edge_order[0]
+        if not self._edges:
+            return next(iter(self._adjacency), None)
+        first = next(iter(self._edges))
         for candidate in first.endpoints:
-            if all(e.incident_to(candidate) for e in self._edge_order):
+            if len(self._adjacency[candidate]) == len(self._edges):
                 return candidate
         return None
 
     def is_triangle(self) -> Optional[Tuple[Vertex, Vertex, Vertex]]:
         """When the edge set is exactly a triangle, return its corners."""
-        if len(self._edge_order) != 3:
+        if len(self._edges) != 3:
             return None
         corners: Set[Vertex] = set()
-        for edge in self._edge_order:
+        for edge in self._edges:
             corners.update(edge.endpoints)
         if len(corners) != 3:
             return None
-        ordered = [v for v in self._vertex_order if v in corners]
-        a, b, c = ordered
+        a, b, c = sorted(corners, key=self._index.__getitem__)
         if self.has_edge(a, b) and self.has_edge(b, c) and self.has_edge(a, c):
             return (a, b, c)
         return None
 
     def triangles(self) -> List[Tuple[Vertex, Vertex, Vertex]]:
-        """All triangles, each listed once with vertices in graph order."""
-        order = {v: i for i, v in enumerate(self._vertex_order)}
+        """All triangles, each listed once with vertices in graph order.
+
+        Ordered by the insertion position of the edge joining the two
+        lowest corners, then by the position of the third corner.  Each
+        edge intersects its endpoints' neighbour sets, so the cost is
+        O(sum over edges of the smaller endpoint degree).
+        """
+        index = self._index
+        adjacency = self._adjacency
         found: List[Tuple[Vertex, Vertex, Vertex]] = []
-        for edge in self._edge_order:
+        for edge in self._edges:
             u, v = edge.endpoints
-            if order[u] > order[v]:
+            if index[u] > index[v]:
                 u, v = v, u
-            for w in self._vertex_order:
-                if order[w] <= order[v]:
-                    continue
-                if self.has_edge(u, w) and self.has_edge(v, w):
-                    found.append((u, v, w))
+            floor = index[v]
+            common = adjacency[u].keys() & adjacency[v].keys()
+            thirds = [w for w in common if index[w] > floor]
+            thirds.sort(key=index.__getitem__)
+            found.extend((u, v, w) for w in thirds)
         return found
 
     def is_acyclic(self) -> bool:
         """True when the graph is a forest."""
         visited: Set[Vertex] = set()
-        for root in self._vertex_order:
+        for root in self._adjacency:
             if root in visited:
                 continue
             stack: List[Tuple[Vertex, Optional[Vertex]]] = [(root, None)]
@@ -302,7 +309,7 @@ class UndirectedGraph:
         """Vertex lists of the connected components, deterministic order."""
         seen: Set[Vertex] = set()
         components: List[List[Vertex]] = []
-        for root in self._vertex_order:
+        for root in self._adjacency:
             if root in seen:
                 continue
             component = [root]
@@ -319,7 +326,7 @@ class UndirectedGraph:
         return components
 
     def is_connected(self) -> bool:
-        if not self._vertex_order:
+        if not self._adjacency:
             return True
         return len(self.connected_components()) == 1
 
@@ -327,7 +334,13 @@ class UndirectedGraph:
     # Derivations
     # ------------------------------------------------------------------
     def copy(self) -> "UndirectedGraph":
-        return UndirectedGraph(self._vertex_order, self._edge_order)
+        clone = UndirectedGraph()
+        clone._adjacency = {
+            v: dict(adjacent) for v, adjacent in self._adjacency.items()
+        }
+        clone._index = dict(self._index)
+        clone._edges = dict(self._edges)
+        return clone
 
     def subgraph_of_edges(self, edges: Iterable) -> "UndirectedGraph":
         """Graph with all original vertices but only the given edges.
@@ -337,16 +350,16 @@ class UndirectedGraph:
         """
         kept = [as_edge(e) for e in edges]
         for edge in kept:
-            if edge not in self._edge_set:
+            if edge not in self._edges:
                 raise EdgeNotFoundError(f"edge {edge!r} not in graph")
-        return UndirectedGraph(self._vertex_order, kept)
+        return UndirectedGraph(self._adjacency, kept)
 
     def induced_subgraph(self, vertices: Iterable[Vertex]) -> "UndirectedGraph":
-        keep = [v for v in self._vertex_order if v in set(vertices)]
-        keep_set = set(keep)
+        keep_set = set(vertices)
+        keep = [v for v in self._adjacency if v in keep_set]
         edges = [
             e
-            for e in self._edge_order
+            for e in self._edges
             if e.u in keep_set and e.v in keep_set
         ]
         return UndirectedGraph(keep, edges)
@@ -356,8 +369,8 @@ class UndirectedGraph:
         import networkx
 
         graph = networkx.Graph()
-        graph.add_nodes_from(self._vertex_order)
-        graph.add_edges_from(e.endpoints for e in self._edge_order)
+        graph.add_nodes_from(self._adjacency)
+        graph.add_edges_from(e.endpoints for e in self._edges)
         return graph
 
     def __repr__(self) -> str:

@@ -16,7 +16,8 @@ provide:
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, List, Optional, Set
+import heapq
+from typing import Hashable, Iterable, List, Set
 
 from repro.graphs.graph import Edge, UndirectedGraph
 
@@ -45,26 +46,34 @@ def matching_vertex_cover(graph: UndirectedGraph) -> List[Vertex]:
 
 
 def greedy_vertex_cover(graph: UndirectedGraph) -> List[Vertex]:
-    """Repeatedly take a vertex covering the most uncovered edges."""
-    remaining: Set[Edge] = set(graph.edges)
+    """Repeatedly take a vertex covering the most uncovered edges.
+
+    Ties go to the vertex inserted first.  Residual degrees only shrink,
+    so the heap's stale entries overstate their vertex and are re-filed
+    when popped; the first accurate top is the first maximum.
+    """
+    vertices = graph.vertices
+    position = {v: i for i, v in enumerate(vertices)}
+    residual = [graph.degree(v) for v in vertices]
+    heap = [(-d, i) for i, d in enumerate(residual) if d]
+    heapq.heapify(heap)
     cover: List[Vertex] = []
-    while remaining:
-        best_vertex: Optional[Vertex] = None
-        best_count = 0
-        for vertex in graph.vertices:
-            count = sum(1 for e in remaining if e.incident_to(vertex))
-            if count > best_count:
-                best_count = count
-                best_vertex = vertex
-        assert best_vertex is not None
-        cover.append(best_vertex)
-        remaining = {e for e in remaining if not e.incident_to(best_vertex)}
+    while heap:
+        negative, i = heapq.heappop(heap)
+        if residual[i] != -negative:
+            if residual[i]:
+                heapq.heappush(heap, (-residual[i], i))
+            continue
+        cover.append(vertices[i])
+        residual[i] = 0
+        for neighbour in graph.neighbors(vertices[i]):
+            j = position[neighbour]
+            if residual[j]:
+                residual[j] -= 1
     return cover
 
 
-def exact_vertex_cover(
-    graph: UndirectedGraph, upper_bound: Optional[int] = None
-) -> List[Vertex]:
+def exact_vertex_cover(graph: UndirectedGraph) -> List[Vertex]:
     """A minimum vertex cover by branch and bound.
 
     Branches on a highest-degree endpoint of an uncovered edge: either
@@ -73,10 +82,8 @@ def exact_vertex_cover(
     the lower bound for pruning.  Exponential worst case — intended for
     the tens-of-vertices graphs used in the evaluation.
     """
-    greedy = greedy_vertex_cover(graph)
-    best: List[Vertex] = list(greedy)
-    if upper_bound is not None and upper_bound < len(best):
-        best = best[:]  # keep greedy; bound only prunes search below
+    best: List[Vertex] = greedy_vertex_cover(graph)
+    position = {v: i for i, v in enumerate(graph.vertices)}
 
     edges = list(graph.edges)
 
@@ -100,7 +107,7 @@ def exact_vertex_cover(
         remaining = uncovered(chosen)
         if not remaining:
             if len(chosen) < len(best):
-                best = sorted(chosen, key=lambda v: _order_key(graph, v))
+                best = sorted(chosen, key=position.__getitem__)
             return
         if len(chosen) + matching_lower_bound(remaining) >= len(best):
             return
@@ -132,6 +139,3 @@ def minimum_vertex_cover_size(graph: UndirectedGraph) -> int:
     """``β(G)`` — size of an optimal vertex cover (exact solver)."""
     return len(exact_vertex_cover(graph))
 
-
-def _order_key(graph: UndirectedGraph, vertex: Vertex) -> int:
-    return graph.vertices.index(vertex)

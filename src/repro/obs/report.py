@@ -18,6 +18,8 @@ scalars, and metric *names* carry the semantics —
 * ``*overhead_ratio*`` is cost-like (lower is better) and gated;
 * ``*_bytes_per_message`` and piggyback byte totals are wire-cost
   metrics (lower is better) and gated;
+* ``*vector_size`` counts timestamp components (lower is better) and
+  is gated — it is exact, so any growth is a real regression;
 * ``*false_concurrency_rate*`` is an accuracy diagnostic (lower is
   better) rendered but not gated — it depends on the chosen K, not on
   code regressions;
@@ -89,6 +91,8 @@ def classify_metric(name: str) -> Tuple[str, bool]:
     if name.endswith("bytes_per_message"):
         return "lower", True
     if "piggyback" in name and "bytes" in name:
+        return "lower", True
+    if name.endswith("vector_size"):
         return "lower", True
     if "seconds" in name:
         return "lower", False

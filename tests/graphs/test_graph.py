@@ -126,6 +126,23 @@ class TestGraphBasics:
         square.remove_edges([("a", "b"), ("c", "d")])
         assert square.edge_count() == 2
 
+    def test_incident_edges_follow_edge_insertion_order(self, square):
+        # Re-adding a removed edge moves it to the end of the edge order,
+        # and every per-vertex edge list follows.
+        square.remove_edge("a", "b")
+        square.add_edge("b", "a")
+        assert square.edges[-1] == Edge("a", "b")
+        assert square.incident_edges("a") == [Edge("d", "a"), Edge("a", "b")]
+        assert square.incident_edges("b") == [Edge("b", "c"), Edge("a", "b")]
+
+    def test_neighbors_in_vertex_order(self):
+        graph = UndirectedGraph("abcd", [("d", "a"), ("c", "a"), ("b", "a")])
+        assert graph.neighbors("a") == ["b", "c", "d"]
+
+    def test_has_edge_unknown_vertex(self, square):
+        assert not square.has_edge("a", "z")
+        assert not square.has_edge("z", "a")
+
 
 class TestStructure:
     def test_is_star_positive(self):
@@ -174,6 +191,19 @@ class TestStructure:
             [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("b", "d")],
         )
         assert set(graph.triangles()) == {("a", "b", "c"), ("b", "c", "d")}
+
+    def test_triangles_edge_order_then_third_corner(self):
+        graph = UndirectedGraph(
+            "abcd",
+            [("c", "d"), ("b", "c"), ("b", "d"), ("a", "b"), ("a", "c"),
+             ("a", "d")],
+        )
+        assert graph.triangles() == [
+            ("b", "c", "d"),
+            ("a", "b", "c"),
+            ("a", "b", "d"),
+            ("a", "c", "d"),
+        ]
 
     def test_no_triangles_in_square(self, square):
         assert square.triangles() == []
@@ -224,6 +254,12 @@ class TestDerivations:
         sub = square.induced_subgraph(["a", "b", "c"])
         assert sub.vertex_count() == 3
         assert sub.edge_count() == 2
+
+    def test_induced_subgraph_from_generator(self):
+        path = UndirectedGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+        sub = path.induced_subgraph(v for v in "abc")
+        assert sub.vertices == ("a", "b", "c")
+        assert sub.edges == (Edge("a", "b"), Edge("b", "c"))
 
     def test_repr(self, square):
         assert "4 vertices" in repr(square)

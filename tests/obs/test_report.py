@@ -35,6 +35,12 @@ class TestClassification:
             True,
         )
 
+    def test_vector_size_is_lower_better_and_gated(self):
+        assert report.classify_metric("online_vector_size") == (
+            "lower",
+            True,
+        )
+
     def test_seconds_are_informational(self):
         assert report.classify_metric("bitset_seconds") == (
             "lower",
@@ -79,6 +85,7 @@ class TestLoading:
             "runtime",
             "parallel",
             "wire",
+            "decompose",
         }
         assert len(merged.gated_metrics()) >= 10
         gated_keys = {m.key for m in merged.gated_metrics()}

@@ -364,9 +364,10 @@ class TestObsReport:
             "runtime",
             "parallel",
             "wire",
+            "decompose",
         ):
             assert source in out
-        assert "7 snapshot(s)" in out
+        assert "8 snapshot(s)" in out
 
     def test_gate_fails_on_doctored_baseline(self, tmp_path, capsys):
         """Acceptance: a doctored baseline with a >20% regression makes
