@@ -1,45 +1,32 @@
 """Multiprocess rendezvous runtime: one OS process per node, sockets.
 
-This is the distributed sibling of :mod:`repro.sim.runtime`.  Where the
-threaded runtime shares one address space and a lock, here every node
-runs the paper's Figure 5 state machine (:class:`OnlineProcessClock`)
-in its **own interpreter process**, and the only clock information that
-crosses a process boundary is the LEB128-encoded vector piggybacked on
-the program message and its acknowledgement — real bytes on a real
-socket, so ``piggyback`` accounting measures the wire, not a model.
+The distributed sibling of :mod:`repro.sim.runtime`: every node runs
+the paper's Figure 5 state machine (:class:`OnlineProcessClock`) in
+its **own interpreter process**, and the only clock information that
+crosses a process boundary is the vector piggybacked on the program
+message and its acknowledgement — real bytes on a real socket, so
+``piggyback`` accounting measures the wire, not a model.
 
-Topology of the runtime (not of the computation): a single-threaded
-**coordinator** in the parent process listens on a Unix (or TCP)
-socket; every node connects once and speaks the length-framed protocol
-of :mod:`repro.sim.wire`.  The coordinator is the rendezvous
-switchboard *and* the sequencer:
+A single-threaded **coordinator** in the parent process listens on a
+Unix (or TCP) socket; every node connects once and speaks the
+length-framed protocol of :mod:`repro.sim.wire`.  The coordinator is a
+thin socket driver over the same :class:`~repro.sim.sequencer.Sequencer`
+the threaded transport drives, so both runtimes share one
+implementation of offer parking, matching, commit, deadlines,
+reclamation and the observability hooks:
 
-* a sender's ``OFFER`` (carrying its piggybacked ``v_i``) parks in the
-  receiver's inbox, exactly like ``SynchronousTransport._inboxes``;
-* a receiver's ``RECV`` matches the oldest compatible offer; the
-  coordinator forwards the piggyback in a ``DELIVER``;
-* the receiver merges, increments, replies ``ACK_UP`` with its
-  pre-merge vector (the Figure 5 acknowledgement) and the computed
-  timestamp; the coordinator **commits the message to the global log at
-  ``ACK_UP`` processing time** — the event loop is single-threaded, so
-  the committed order is established exactly as the threaded
-  transport's ``_log`` is under its lock;
-* the coordinator forwards ``ACK_DOWN`` to the sender, whose clock
-  merges and increments; sender and receiver provably agree on the
-  timestamp, and the node cross-checks it against the receiver's view.
+* a sender's ``OFFER`` (carrying its piggybacked ``v_i``) is the
+  sequencer's ``offer`` input and a receiver's ``RECV`` its ``recv``;
+  a match is forwarded to the receiver as a ``DELIVER``;
+* the receiver merges, increments and replies ``ACK_UP`` with its
+  pre-merge vector (the Figure 5 acknowledgement) and the timestamp it
+  computed; the sequencer **commits the message at ``ACK_UP``
+  processing time**, and the coordinator forwards ``ACK_DOWN`` to the
+  sender, which cross-checks the timestamp against its own.
 
-Because matching, timeout expiry, and stale-offer reclamation all
-happen inside one event loop, the races fixed in the threaded
-transport (timeout-clock resets, stale offers matched after a sender
-aborted) are structurally impossible here: a timed-out offer is
-removed from its inbox in the same loop step that notifies the sender.
-
-The coordinator reuses the observability stack of the threaded
-runtime: flight-recorder events (``send_offer``/``block_start``/
-``block_end``/``rendezvous``/...) for post-hoc audit with
-``repro obs timeline``/``critpath``, obs metrics when instrumentation
-is enabled, plus always-on local P² sketches so the load driver can
-report latency percentiles without enabling the hooks.
+Beyond the hooks, the coordinator always keeps local P² sketches and
+byte counters (:class:`RuntimeStats`), so the load driver reports
+latency percentiles without enabling instrumentation.
 
 Limits (documented, not hidden): process names and payloads must be
 JSON-serializable (strings are the normal case), and scripts are the
@@ -63,8 +50,6 @@ from repro.exceptions import RuntimeDeadlockError, SimulationError
 from repro.graphs.decomposition import EdgeDecomposition, decompose
 from repro.graphs.generators import client_server_topology
 from repro.obs import flightrec as _flightrec
-from repro.obs import instrument as _obs
-from repro.obs import audit as _audit
 from repro.obs.live import (
     LiveAggregator,
     MetricsEndpoint,
@@ -72,19 +57,20 @@ from repro.obs.live import (
     TelemetryConfig,
 )
 from repro.obs.metrics import QuantileSketch
-from repro.sim.computation import (
-    EventedComputation,
-    InternalEvent,
-    Process,
-    SyncComputation,
-)
+from repro.sim.computation import Process
 from repro.sim.runtime import (
     Action,
     ComputeAction,
     CrashAction,
-    DeliveredMessage,
     ReceiveAction,
     SendAction,
+)
+from repro.sim.sequencer import (
+    RECEIVE,
+    CommittedRun,
+    DeliveredMessage,
+    Sequencer,
+    Wait,
 )
 from repro.clocks.delta import make_codec
 from repro.sim.wire import (
@@ -238,22 +224,7 @@ def _node_worker(
                     {"to": action.to, "payload": action.payload},
                     piggy,
                 )
-                reply = fs.recv_message()
-                if reply is None:
-                    raise WireError("coordinator vanished during a send")
-                kind, header, vec = reply
-                if kind == MSG_TIMEOUT:
-                    raise RuntimeDeadlockError(
-                        header.get("reason", "send timed out")
-                    )
-                if kind == MSG_SHUTDOWN:
-                    raise SimulationError(
-                        header.get("reason", "run was shut down")
-                    )
-                if kind != MSG_ACK_DOWN:
-                    raise WireError(
-                        f"unexpected frame kind {kind} during a send"
-                    )
+                header, vec = _reply(fs, MSG_ACK_DOWN, "send")
                 ack = codec.decode((action.to, name), vec)
                 timestamp = clock.on_acknowledgement(action.to, ack)
                 receiver_view = header.get("timestamp")
@@ -275,24 +246,7 @@ def _node_worker(
                     time.monotonic() if tele is not None else 0.0
                 )
                 fs.send_message(MSG_RECV, {"source": action.source})
-                reply = fs.recv_message()
-                if reply is None:
-                    raise WireError(
-                        "coordinator vanished during a receive"
-                    )
-                kind, header, vec = reply
-                if kind == MSG_TIMEOUT:
-                    raise RuntimeDeadlockError(
-                        header.get("reason", "receive timed out")
-                    )
-                if kind == MSG_SHUTDOWN:
-                    raise SimulationError(
-                        header.get("reason", "run was shut down")
-                    )
-                if kind != MSG_DELIVER:
-                    raise WireError(
-                        f"unexpected frame kind {kind} during a receive"
-                    )
+                header, vec = _reply(fs, MSG_DELIVER, "receive")
                 piggybacked = codec.decode((header["sender"], name), vec)
                 ack_vector, timestamp = clock.on_receive(
                     header["sender"], piggybacked
@@ -339,6 +293,23 @@ def _node_worker(
         fs.close()
 
 
+def _reply(
+    fs: FrameSocket, expected: int, op: str
+) -> Tuple[Dict[str, Any], bytes]:
+    """The coordinator's answer to a blocking ``op``, or its error."""
+    reply = fs.recv_message()
+    if reply is None:
+        raise WireError(f"coordinator vanished during a {op}")
+    kind, header, vec = reply
+    if kind == MSG_TIMEOUT:
+        raise RuntimeDeadlockError(header.get("reason", f"{op} timed out"))
+    if kind == MSG_SHUTDOWN:
+        raise SimulationError(header.get("reason", "run was shut down"))
+    if kind != expected:
+        raise WireError(f"unexpected frame kind {kind} during a {op}")
+    return header, vec
+
+
 def _best_effort_fail(fs: FrameSocket, error: str, kind: str) -> None:
     try:
         fs.send_message(MSG_FAIL, {"error": error, "error_type": kind})
@@ -349,37 +320,6 @@ def _best_effort_fail(fs: FrameSocket, error: str, kind: str) -> None:
 # ----------------------------------------------------------------------
 # Coordinator bookkeeping
 # ----------------------------------------------------------------------
-@dataclass
-class _PendingOffer:
-    """A parked OFFER waiting in a receiver's inbox."""
-
-    sender: Process
-    to: Process
-    payload: Any
-    piggy: bytes
-    deadline: float
-    t_start: float
-
-
-@dataclass
-class _PendingReceive:
-    """A parked RECV waiting for a compatible offer."""
-
-    receiver: Process
-    source: Optional[Process]
-    deadline: float
-    t_start: float
-
-
-@dataclass
-class _Match:
-    """A DELIVERed pair awaiting the receiver's ACK_UP."""
-
-    offer: _PendingOffer
-    recv: _PendingReceive
-    deadline: float
-
-
 @dataclass
 class RuntimeStats:
     """Coordinator-side measurements of one distributed run.
@@ -466,23 +406,18 @@ class RuntimeStats:
         return payload
 
 
-class DistributedTransport:
+class DistributedTransport(CommittedRun):
     """The committed outcome of a distributed run.
 
-    API-compatible with the post-run surface of
-    :class:`~repro.sim.runtime.SynchronousTransport` (``log``,
-    ``errors``, ``as_computation``, ``collected_timestamps``,
-    ``as_evented_computation``), so every existing verifier — the
-    Equation (1) checker, the live audit, recovery analysis — consumes
-    either runtime's output unchanged.
+    Shares its post-run surface (``log``, ``as_computation``,
+    ``collected_timestamps``, ``as_evented_computation``) with
+    :class:`~repro.sim.runtime.SynchronousTransport`, so every existing
+    verifier — the Equation (1) checker, the live audit, recovery
+    analysis — consumes either runtime's output unchanged.
     """
 
     def __init__(self, decomposition: EdgeDecomposition):
-        self._decomposition = decomposition
-        self._log: List[DeliveredMessage] = []
-        self._internal: Dict[Process, List[InternalEvent]] = {
-            p: [] for p in decomposition.graph.vertices
-        }
+        super().__init__(decomposition)
         self.errors: List[BaseException] = []
         self.stats = RuntimeStats()
         #: Poison reason when the run was abandoned (stuck nodes), else
@@ -493,40 +428,17 @@ class DistributedTransport:
         #: else ``None``.
         self.live: Optional[LiveAggregator] = None
 
-    @property
-    def decomposition(self) -> EdgeDecomposition:
-        return self._decomposition
-
-    @property
-    def log(self) -> List[DeliveredMessage]:
-        """Committed messages in global commit order."""
-        return list(self._log)
-
-    def as_computation(self) -> SyncComputation:
-        """Rebuild the equivalent :class:`SyncComputation` from the log."""
-        pairs = [(entry.sender, entry.receiver) for entry in self._log]
-        return SyncComputation.from_pairs(self._decomposition.graph, pairs)
-
-    def collected_timestamps(self) -> List[VectorTimestamp]:
-        """Timestamps in commit order (aligned with ``as_computation``)."""
-        return [entry.timestamp for entry in self._log]
-
-    def as_evented_computation(self) -> EventedComputation:
-        """The run including its compute actions as internal events."""
-        computation = self.as_computation()
-        events = [
-            event
-            for process in self._decomposition.graph.vertices
-            for event in self._internal[process]
-        ]
-        return EventedComputation(computation, events)
-
 
 # ----------------------------------------------------------------------
 # Coordinator
 # ----------------------------------------------------------------------
 class _Coordinator:
-    """Single-threaded rendezvous switchboard and commit sequencer."""
+    """Single-threaded socket driver of the rendezvous sequencer.
+
+    Owns the selector, framing, HELLO negotiation, ``RuntimeStats``
+    byte and sketch accounting and the live tick; every rendezvous
+    rule is the :class:`~repro.sim.sequencer.Sequencer`'s.
+    """
 
     def __init__(
         self,
@@ -537,9 +449,7 @@ class _Coordinator:
         wire_format: str = "full",
         live: Optional[LiveAggregator] = None,
     ):
-        self._decomposition = decomposition
         self._expected = set(expected)
-        self._timeout = timeout
         self._idle_timeout = idle_timeout
         self._wire_format = wire_format
         self._live = live
@@ -561,34 +471,24 @@ class _Coordinator:
         self._conn_of: Dict[Process, socket.socket] = {}
         self._buffers: Dict[socket.socket, FrameBuffer] = {}
         self._names: Dict[socket.socket, Optional[Process]] = {}
-        self._inboxes: Dict[Process, List[_PendingOffer]] = {
-            p: [] for p in decomposition.graph.vertices
-        }
-        self._waiting_recv: Dict[Process, _PendingReceive] = {}
-        self._awaiting_ack: Dict[Process, _Match] = {}
-        self._message_counts: Dict[Process, int] = {
-            p: 0 for p in decomposition.graph.vertices
-        }
         self._finished: set = set()
         self._first_offer_t: Optional[float] = None
         self._last_commit_t: Optional[float] = None
         self.result = DistributedTransport(decomposition)
         self.result.stats.wire_format = wire_format
+        self._sequencer = Sequencer(self.result, timeout, self)
 
     # -- helpers -------------------------------------------------------
     def _record(
         self, kind: str, process: Process, peer: Any = None,
         **detail: Any,
     ) -> None:
-        """Record a runtime event to the ambient flight recorder.
+        """Record a node life-cycle event to the ambient flight recorder.
 
-        The live aggregator's partial flight record is deliberately
-        NOT fed from here: per-event forwarding would tax every
-        rendezvous on the coordinator's single-threaded critical
-        path.  Instead :meth:`_live_tick_maybe` syncs the currently
-        *open* waits into the live ring at tick cadence — exactly the
-        events ``wait_for_summary`` needs for deadlock suspicion —
-        and the expiry sweeps push timed-out waits eagerly.
+        The live aggregator's ring is not fed per event (that would tax
+        every rendezvous): :meth:`_live_tick_maybe` syncs the *open*
+        waits into it at tick cadence, and :meth:`on_timeout` pushes
+        timed-out waits eagerly.
         """
         fr = _flightrec.recorder
         if fr is not None:
@@ -607,10 +507,10 @@ class _Coordinator:
         try:
             send_message(conn, kind, header, vec)
         except OSError:
-            self._drop_connection(conn, error=True)
+            self._drop_connection(conn, True, time.monotonic())
 
     def _drop_connection(
-        self, conn: socket.socket, error: bool
+        self, conn: socket.socket, error: bool, now: float
     ) -> None:
         name = self._names.pop(conn, None)
         self._buffers.pop(conn, None)
@@ -640,25 +540,8 @@ class _Coordinator:
                         f"node {name!r} disconnected before finishing"
                     )
                 )
-            self._abandon_pending(name)
-
-    def _abandon_pending(self, name: Process) -> None:
-        """Forget every pending operation of a departed node."""
-        self._waiting_recv.pop(name, None)
-        for inbox in self._inboxes.values():
-            inbox[:] = [o for o in inbox if o.sender != name]
-        match = self._awaiting_ack.pop(name, None)
-        if match is not None:
-            self._send(
-                match.offer.sender,
-                MSG_TIMEOUT,
-                {
-                    "reason": (
-                        f"receiver {name!r} vanished before "
-                        "acknowledging"
-                    )
-                },
-            )
+            if self._sequencer.poisoned is None:
+                self._sequencer.depart(name, now)
 
     # -- protocol handlers ---------------------------------------------
     def _on_hello(
@@ -691,76 +574,14 @@ class _Coordinator:
         piggy: bytes,
         now: float,
     ) -> None:
-        to = header.get("to")
-        if to not in self._inboxes:
-            raise WireError(
-                f"offer from {sender!r} to unknown process {to!r}"
-            )
         if self._first_offer_t is None:
             self._first_offer_t = now
-        offer = _PendingOffer(
-            sender=sender,
-            to=to,
-            payload=header.get("payload"),
-            piggy=piggy,
-            deadline=now + self._timeout,
-            t_start=now,
+        stats = self.result.stats
+        stats.piggyback_bytes += len(piggy)
+        stats.piggyback_wire_bytes += len(piggy)
+        self._sequencer.offer(
+            sender, header.get("to"), header.get("payload"), piggy, now
         )
-        self._inboxes[to].append(offer)
-        self.result.stats.piggyback_bytes += len(piggy)
-        self.result.stats.piggyback_wire_bytes += len(piggy)
-        self._record(_flightrec.SEND_OFFER, sender, peer=to)
-        self._record(
-            _flightrec.BLOCK_START, sender, peer=to, op="send"
-        )
-        self._try_match(to, now)
-
-    def _on_recv(
-        self, receiver: Process, header: Dict[str, Any], now: float
-    ) -> None:
-        if receiver in self._waiting_recv or receiver in self._awaiting_ack:
-            raise WireError(
-                f"{receiver!r} issued overlapping receives"
-            )
-        recv = _PendingReceive(
-            receiver=receiver,
-            source=header.get("source"),
-            deadline=now + self._timeout,
-            t_start=now,
-        )
-        self._waiting_recv[receiver] = recv
-        self._record(
-            _flightrec.BLOCK_START,
-            receiver,
-            peer=recv.source,
-            op="receive",
-        )
-        self._try_match(receiver, now)
-
-    def _try_match(self, receiver: Process, now: float) -> None:
-        recv = self._waiting_recv.get(receiver)
-        if recv is None:
-            return
-        inbox = self._inboxes[receiver]
-        for position, offer in enumerate(inbox):
-            if recv.source is None or offer.sender == recv.source:
-                inbox.pop(position)
-                del self._waiting_recv[receiver]
-                self._awaiting_ack[receiver] = _Match(
-                    offer=offer,
-                    recv=recv,
-                    deadline=now + self._timeout,
-                )
-                self.result.stats.piggyback_wire_bytes += len(
-                    offer.piggy
-                )
-                self._send(
-                    receiver,
-                    MSG_DELIVER,
-                    {"sender": offer.sender, "payload": offer.payload},
-                    offer.piggy,
-                )
-                return
 
     def _on_ack_up(
         self,
@@ -769,107 +590,55 @@ class _Coordinator:
         ack: bytes,
         now: float,
     ) -> None:
-        match = self._awaiting_ack.pop(receiver, None)
-        if match is None:
-            raise WireError(
-                f"unsolicited acknowledgement from {receiver!r}"
-            )
-        offer = match.offer
-        timestamp = VectorTimestamp(header["timestamp"])
-        # Commit: the event loop is single-threaded, so appending here
-        # serializes the global commit order exactly as the threaded
-        # transport's lock does.
-        stats = self.result.stats
-        log = self.result._log
-        commit_order = len(log)
-        log.append(
-            DeliveredMessage(
-                order=commit_order,
-                sender=offer.sender,
-                receiver=receiver,
-                payload=offer.payload,
-                timestamp=timestamp,
-            )
+        self._sequencer.ack(
+            receiver, VectorTimestamp(header["timestamp"]), ack, now
         )
-        self._message_counts[offer.sender] += 1
-        self._message_counts[receiver] += 1
         self._last_commit_t = now
+
+    # -- sequencer effects ---------------------------------------------
+    def on_deliver(self, offer: Wait) -> None:
+        self.result.stats.piggyback_wire_bytes += len(offer.piggy)
+        self._send(
+            offer.peer,
+            MSG_DELIVER,
+            {"sender": offer.process, "payload": offer.payload},
+            offer.piggy,
+        )
+
+    def on_complete(self, offer: Wait, entry: DeliveredMessage) -> None:
+        stats = self.result.stats
+        ack = offer.ack
         stats.messages += 1
         stats.piggyback_bytes += len(ack)
         stats.piggyback_wire_bytes += len(ack) * 2
-        receiver_blocked = now - match.recv.t_start
-        sender_blocked = now - offer.t_start
-        stats.block_sketch.observe(receiver_blocked)
-        stats.block_sketch.observe(sender_blocked)
-        m = _obs.metrics
-        if m is not None:
-            m.rendezvous_total.inc()
-            for waited in (receiver_blocked, sender_blocked):
-                m.rendezvous_wait_seconds.observe(waited)
-                m.rendezvous_block_seconds.observe(waited)
-                m.rendezvous_block_quantiles.observe(waited)
-            m.piggyback_quantiles.observe(len(offer.piggy))
-            m.piggyback_quantiles.observe(len(ack))
-        self._record(
-            _flightrec.BLOCK_END,
-            receiver,
-            peer=offer.sender,
-            op="receive",
-            status="matched",
-            seconds=receiver_blocked,
-        )
-        self._record(
-            _flightrec.RENDEZVOUS,
-            receiver,
-            peer=offer.sender,
-            commit_order=commit_order,
-            payload=repr(offer.payload),
-        )
-        aud = _audit.auditor
-        if aud is not None:
-            aud.on_runtime_message(offer.sender, receiver, timestamp)
+        stats.block_sketch.observe(offer.partner.waited)
+        stats.block_sketch.observe(offer.waited)
         self._send(
-            offer.sender,
+            offer.process,
             MSG_ACK_DOWN,
-            {"timestamp": header["timestamp"]},
+            {"timestamp": list(entry.timestamp)},
             ack,
         )
-        self._record(
-            _flightrec.BLOCK_END,
-            offer.sender,
-            peer=receiver,
-            op="send",
-            status="matched",
-            seconds=sender_blocked,
-        )
 
-    def _on_internal(
-        self, process: Process, header: Dict[str, Any]
-    ) -> None:
-        slot = self._message_counts[process]
-        internal = self.result._internal
-        counter = 1 + sum(
-            1 for e in internal[process] if e.slot == slot
-        )
-        serial = sum(len(events) for events in internal.values())
-        event = InternalEvent(
-            process,
-            slot,
-            counter,
-            f"{header.get('label', 'compute')}#{serial + 1}",
-        )
-        internal[process].append(event)
-        self.result.stats.internal_events += 1
-        self._record(
-            _flightrec.INTERNAL,
-            process,
-            label=event.name,
-            slot=slot,
-        )
+    def on_timeout(self, wait: Wait, reason: str) -> None:
+        self.result.stats.timeouts += 1
+        node = wait.process
+        if self._live is not None:
+            self._live.on_wait_timeout(
+                node, wait.op, wait.peer, wait.waited
+            )
+        if node in self._finished:
+            return
+        if wait.op == RECEIVE and wait.partner is not None:
+            # Matched but never acknowledged: the receiver owes a frame
+            # rather than awaiting one, so the failure is recorded here.
+            self.result.errors.append(RuntimeDeadlockError(reason))
+            return
+        self._send(node, MSG_TIMEOUT, {"reason": reason})
 
     def _on_finish(
         self, conn: socket.socket, name: Process, kind: int,
-        header: Dict[str, Any],
+        header: Dict[str, Any], now: float,
     ) -> None:
         if kind == MSG_DONE:
             wire = header.get("wire")
@@ -894,142 +663,7 @@ class _Coordinator:
         self._finished.add(name)
         if self._live is not None:
             self._live.on_node_finished(name)
-        self._abandon_pending(name)
-
-    # -- timeouts ------------------------------------------------------
-    def _next_deadline(self) -> Optional[float]:
-        deadlines = [
-            offer.deadline
-            for inbox in self._inboxes.values()
-            for offer in inbox
-        ]
-        deadlines.extend(
-            recv.deadline for recv in self._waiting_recv.values()
-        )
-        deadlines.extend(
-            match.deadline for match in self._awaiting_ack.values()
-        )
-        return min(deadlines) if deadlines else None
-
-    def _expire(self, now: float) -> None:
-        stats = self.result.stats
-        for receiver, inbox in self._inboxes.items():
-            expired = [o for o in inbox if o.deadline <= now]
-            if not expired:
-                continue
-            # Stale-offer reclamation: the offer leaves the inbox in
-            # the same step that notifies the sender, so no later
-            # receive can match it and commit a ghost message.
-            inbox[:] = [o for o in inbox if o.deadline > now]
-            for offer in expired:
-                stats.timeouts += 1
-                waited = now - offer.t_start
-                self._record(
-                    _flightrec.BLOCK_END,
-                    offer.sender,
-                    peer=receiver,
-                    op="send",
-                    status="timeout",
-                    seconds=waited,
-                )
-                if self._live is not None:
-                    self._live.on_wait_timeout(
-                        offer.sender, "send", receiver, waited
-                    )
-                m = _obs.metrics
-                if m is not None:
-                    m.rendezvous_wait_seconds.observe(waited)
-                self._send(
-                    offer.sender,
-                    MSG_TIMEOUT,
-                    {
-                        "reason": (
-                            f"send from {offer.sender!r} to "
-                            f"{receiver!r} timed out; no matching "
-                            "receive"
-                        )
-                    },
-                )
-        for receiver in list(self._waiting_recv):
-            recv = self._waiting_recv[receiver]
-            if recv.deadline > now:
-                continue
-            del self._waiting_recv[receiver]
-            stats.timeouts += 1
-            waited = now - recv.t_start
-            self._record(
-                _flightrec.BLOCK_END,
-                receiver,
-                peer=recv.source,
-                op="receive",
-                status="timeout",
-                seconds=waited,
-            )
-            if self._live is not None:
-                self._live.on_wait_timeout(
-                    receiver, "receive", recv.source, waited
-                )
-            m = _obs.metrics
-            if m is not None:
-                m.rendezvous_wait_seconds.observe(waited)
-            self._send(
-                receiver,
-                MSG_TIMEOUT,
-                {
-                    "reason": (
-                        f"receive on {receiver!r} "
-                        f"(from {recv.source!r}) timed out"
-                    )
-                },
-            )
-        for receiver in list(self._awaiting_ack):
-            match = self._awaiting_ack[receiver]
-            if match.deadline > now:
-                continue
-            del self._awaiting_ack[receiver]
-            stats.timeouts += 1
-            self.result.errors.append(
-                RuntimeDeadlockError(
-                    f"receiver {receiver!r} never acknowledged a "
-                    f"delivery from {match.offer.sender!r}"
-                )
-            )
-            self._send(
-                match.offer.sender,
-                MSG_TIMEOUT,
-                {
-                    "reason": (
-                        f"receiver {receiver!r} never acknowledged"
-                    )
-                },
-            )
-
-    def _blocked_nodes(self) -> frozenset:
-        """Nodes currently parked in a rendezvous at the coordinator."""
-        blocked = set()
-        for inbox in self._inboxes.values():
-            for offer in inbox:
-                blocked.add(offer.sender)
-        blocked.update(self._waiting_recv)
-        for receiver, match in self._awaiting_ack.items():
-            blocked.add(receiver)
-            blocked.add(match.offer.sender)
-        return frozenset(blocked)
-
-    def _open_waits(self) -> Dict[Process, Tuple[str, Any, float]]:
-        """``process -> (op, peer, since)`` for every unmatched wait.
-
-        Matched-but-unacked pairs (``_awaiting_ack``) are excluded:
-        they are mid-commit, not waiting on a peer, so they belong to
-        the stall detector, not the wait-for graph.
-        """
-        waits: Dict[Process, Tuple[str, Any, float]] = {}
-        for to, inbox in self._inboxes.items():
-            for offer in inbox:
-                waits[offer.sender] = ("send", to, offer.t_start)
-        for receiver, recv in self._waiting_recv.items():
-            waits[receiver] = ("receive", recv.source, recv.t_start)
-        return waits
+        self._sequencer.depart(name, now)
 
     def _flush_live_seen(self) -> None:
         """Drain batched per-frame heartbeats into the aggregator."""
@@ -1047,8 +681,8 @@ class _Coordinator:
             return
         self._live_next_tick = now + self._live_tick
         self._flush_live_seen()
-        live.sync_open_waits(self._open_waits(), now)
-        live.check_health(now, blocked=self._blocked_nodes())
+        live.sync_open_waits(self._sequencer.open_waits(), now)
+        live.check_health(now, blocked=self._sequencer.blocked())
         on_tick = live.config.on_tick
         if on_tick is not None:
             on_tick(live, now)
@@ -1061,7 +695,7 @@ class _Coordinator:
         try:
             while len(self._finished) < len(self._expected):
                 now = time.monotonic()
-                deadline = self._next_deadline()
+                deadline = self._sequencer.next_deadline()
                 wait = 0.5
                 if deadline is not None:
                     wait = min(wait, max(0.0, deadline - now))
@@ -1078,11 +712,11 @@ class _Coordinator:
                         self._accept(listener)
                     else:
                         self._read(key.fileobj, now)
-                self._expire(now)
+                self._sequencer.tick(now)
                 self._live_tick_maybe(now)
                 if (
                     not events
-                    and self._next_deadline() is None
+                    and self._sequencer.next_deadline() is None
                     and now - last_activity > self._idle_timeout
                 ):
                     # No traffic, no pending rendezvous, and unfinished
@@ -1101,8 +735,12 @@ class _Coordinator:
             # One last sweep so events raised by the final frames are
             # not lost between the last tick and shutdown.
             self._flush_live_seen()
-            self._live.sync_open_waits(self._open_waits(), ended)
-            self._live.check_health(ended, blocked=self._blocked_nodes())
+            self._live.sync_open_waits(
+                self._sequencer.open_waits(), ended
+            )
+            self._live.check_health(
+                ended, blocked=self._sequencer.blocked()
+            )
             self.result.stats.telemetry_frames = (
                 self._live.frames_total
             )
@@ -1120,6 +758,7 @@ class _Coordinator:
         return self.result
 
     def _poison(self, reason: str) -> None:
+        self._sequencer.poison(reason)
         self.result.poisoned = reason
         error = RuntimeDeadlockError(reason)
         self.result.errors.append(error)
@@ -1152,11 +791,11 @@ class _Coordinator:
         except (BlockingIOError, InterruptedError):
             return
         except OSError:
-            self._drop_connection(conn, error=True)
+            self._drop_connection(conn, True, now)
             return
         if not chunk:
             self._drop_connection(
-                conn, error=self._names.get(conn) is not None
+                conn, self._names.get(conn) is not None, now
             )
             return
         buffer = self._buffers[conn]
@@ -1189,13 +828,16 @@ class _Coordinator:
             if kind == MSG_OFFER:
                 self._on_offer(name, header, vec, now)
             elif kind == MSG_RECV:
-                self._on_recv(name, header, now)
+                self._sequencer.recv(name, header.get("source"), now)
             elif kind == MSG_ACK_UP:
                 self._on_ack_up(name, header, vec, now)
             elif kind == MSG_INTERNAL:
-                self._on_internal(name, header)
+                self._sequencer.internal(
+                    name, header.get("label", "compute"), now
+                )
+                self.result.stats.internal_events += 1
             elif kind in (MSG_DONE, MSG_FAIL, MSG_CRASHED):
-                self._on_finish(conn, name, kind, header)
+                self._on_finish(conn, name, kind, header, now)
             else:
                 raise WireError(
                     f"unexpected frame kind {kind} from {name!r}"

@@ -8,31 +8,36 @@ only clock information exchanged is what Figure 5 piggybacks on the
 program message and its ack.
 
 Programs are small scripts of actions (:func:`send`, :func:`receive`,
-:func:`compute`).  The transport records the commit order of rendezvous
-under a global lock, so after the run the harness can rebuild the
-equivalent :class:`SyncComputation` and verify the collected timestamps
-against the ground truth — see ``tests/integration/test_runtime.py``.
+:func:`compute`).  :class:`SynchronousTransport` is the threaded driver
+of :class:`~repro.sim.sequencer.Sequencer`, the rendezvous protocol the
+socket runtime (:mod:`repro.sim.distributed`) drives too: it feeds the
+sequencer under one lock and does the clock and codec work, and the
+sequencer establishes the commit order, so after the run the harness
+can rebuild the equivalent :class:`SyncComputation` and verify the
+collected timestamps against the ground truth — see
+``tests/integration/test_runtime.py``.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.clocks.online import OnlineProcessClock
 from repro.core.vector import VectorTimestamp
-from repro.obs import audit as _audit
 from repro.obs import flightrec as _flightrec
 from repro.obs import instrument as _obs
 from repro.exceptions import RuntimeDeadlockError, SimulationError
 from repro.graphs.decomposition import EdgeDecomposition
-from repro.sim.computation import (
-    EventedComputation,
-    InternalEvent,
-    Process,
-    SyncComputation,
+from repro.sim.computation import InternalEvent, Process
+from repro.sim.sequencer import (
+    SEND,
+    CommittedRun,
+    DeliveredMessage,
+    Sequencer,
+    Wait,
 )
 
 
@@ -96,43 +101,26 @@ Action = object  # SendAction | ReceiveAction | ComputeAction
 # ----------------------------------------------------------------------
 # Transport
 # ----------------------------------------------------------------------
-@dataclass
-class _Offer:
-    """A sender's pending rendezvous offer."""
+class _Wait:
+    """One thread's blocked rendezvous: its wakeup and its outcome."""
 
-    sender: Process
-    payload: Any
-    piggybacked: VectorTimestamp
-    completed: threading.Event = field(default_factory=threading.Event)
-    ack_vector: Optional[VectorTimestamp] = None
-    timestamp: Optional[VectorTimestamp] = None
-    #: Encoded piggyback frames when a non-full wire format is active —
-    #: the receiver decodes ``piggy_blob`` and the sender decodes
-    #: ``ack_blob``, so the codec is genuinely on the message path.
-    piggy_blob: Optional[bytes] = None
-    ack_blob: Optional[bytes] = None
+    __slots__ = ("cond", "outcome")
+
+    def __init__(self, lock: threading.Lock):
+        self.cond = threading.Condition(lock)
+        self.outcome: Any = None
 
 
-@dataclass(frozen=True)
-class DeliveredMessage:
-    """One committed rendezvous, in global commit order."""
-
-    order: int
-    sender: Process
-    receiver: Process
-    payload: Any
-    timestamp: VectorTimestamp
-
-
-class SynchronousTransport:
+class SynchronousTransport(CommittedRun):
     """Blocking-send message passing with Figure 5 piggybacking.
 
-    One instance is shared by all process threads.  ``send`` parks an
-    offer in the receiver's inbox and blocks on its completion event;
-    ``receive`` takes a matching offer, advances the receiver's clock,
-    answers the acknowledgement, and commits the message to the global
-    log under the transport lock (establishing the execution order used
-    for post-hoc verification).
+    One instance is shared by all process threads.  It drives the
+    :class:`~repro.sim.sequencer.Sequencer` under one lock: ``send``
+    offers and blocks until the sequencer completes or times out its
+    offer; ``receive`` blocks until the sequencer delivers an offer,
+    advances the receiver's clock, and acknowledges — which commits the
+    message to the global log.  The clock work, the codec and each
+    thread's wait live here; the rendezvous rules live in the sequencer.
     """
 
     def __init__(
@@ -141,14 +129,14 @@ class SynchronousTransport:
         timeout: float = 10.0,
         wire_format: str = "full",
     ):
-        self._decomposition = decomposition
-        self._timeout = timeout
+        super().__init__(decomposition)
         self._wire_format = wire_format
         bound_k: Optional[int] = None
         if wire_format == "full":
             # The historical path: vectors travel as objects, no codec
             # on the hot path.
             self._codec = None
+            piggy_size = _obs.piggyback_size_bytes
         else:
             # Imported lazily: repro.clocks.delta pulls in
             # repro.sim.wire, whose package __init__ imports this
@@ -157,31 +145,17 @@ class SynchronousTransport:
 
             self._codec = make_codec(wire_format, decomposition.size)
             bound_k = self._codec.bound_k
+            piggy_size = len
         self._lock = threading.Lock()
-        self._arrival = threading.Condition(self._lock)
-        self._inboxes: Dict[Process, List[_Offer]] = {
-            p: [] for p in decomposition.graph.vertices
-        }
         self._clocks: Dict[Process, OnlineProcessClock] = {
             p: OnlineProcessClock(p, decomposition, bound_k=bound_k)
             for p in decomposition.graph.vertices
         }
-        self._log: List[DeliveredMessage] = []
-        # Per-process external-event counts and internal-event records,
-        # for the Section 5 extension (timestamping compute actions).
-        self._message_counts: Dict[Process, int] = {
-            p: 0 for p in decomposition.graph.vertices
-        }
-        self._internal: Dict[Process, List[InternalEvent]] = {
-            p: [] for p in decomposition.graph.vertices
-        }
+        self._sequencer = Sequencer(self, timeout, self, piggy_size)
+        self._waits: Set[_Wait] = set()
         #: Exceptions collected by the runner when ``raise_on_error`` is
         #: off (timeouts of a crashed process's peers, script errors).
         self.errors: List[BaseException] = []
-        #: Poison reason; set once the runner abandons stuck threads so
-        #: any further use of the transport fails fast instead of
-        #: rendezvousing with zombies.
-        self._poisoned: Optional[str] = None
 
     # ------------------------------------------------------------------
     def poison(self, reason: str) -> None:
@@ -190,23 +164,23 @@ class SynchronousTransport:
         The runner calls this when a worker thread failed to finish:
         the abandoned daemon thread may still be parked inside a
         rendezvous, and letting new sends/receives match against its
-        leftovers would corrupt clocks.  Blocked receivers are woken so
-        they fail fast; a sender parked on its completion event keeps
-        sleeping until its own timeout (it cannot be woken without
-        forging an acknowledgement).
+        leftovers would corrupt clocks.  Every blocked thread is woken
+        and fails fast.
         """
         with self._lock:
-            self._poisoned = reason
-            self._arrival.notify_all()
+            if self._sequencer.poisoned is None:
+                self._sequencer.poison(reason)
+            for wait in self._waits:
+                wait.cond.notify()
 
     @property
     def poisoned(self) -> Optional[str]:
         """The poison reason, or ``None`` while the transport is usable."""
-        return self._poisoned
+        return self._sequencer.poisoned
 
     def _check_poisoned(self) -> None:
-        if self._poisoned is not None:
-            raise SimulationError(self._poisoned)
+        if self._sequencer.poisoned is not None:
+            raise SimulationError(self._sequencer.poisoned)
 
     def send(
         self, sender: Process, to: Process, payload: Any = None
@@ -214,93 +188,35 @@ class SynchronousTransport:
         """Blocking synchronous send; returns the message timestamp."""
         self._check_poisoned()
         clock = self._clocks[sender]
-        m = _obs.metrics
-        fr = _flightrec.recorder
         with _obs.span(
             "rendezvous.send", sender=str(sender), receiver=str(to)
         ) as sp:
             with self._lock:
-                offer = _Offer(sender, payload, clock.prepare_send())
+                piggy: Any = clock.prepare_send()
                 if self._codec is not None:
-                    offer.piggy_blob = self._codec.encode(
-                        (sender, to), offer.piggybacked
-                    )
-                self._inboxes[to].append(offer)
-                self._arrival.notify_all()
-            if fr is not None:
-                fr.record(_flightrec.SEND_OFFER, sender, peer=to)
-                fr.record(
-                    _flightrec.BLOCK_START, sender, peer=to, op="send"
+                    piggy = self._codec.encode((sender, to), piggy)
+                wait = _Wait(self._lock)
+                offer = self._sequencer.offer(
+                    sender, to, payload, piggy, time.monotonic(), wait
                 )
-            timed = m is not None or fr is not None
-            wait_started = time.perf_counter() if timed else 0.0
-            completed = offer.completed.wait(self._timeout)
-            if not completed:
-                # Reclaim the stale offer before giving up.  Without
-                # this a later receive could match the parked offer,
-                # commit a ghost message, and complete into the void
-                # while this clock never runs on_acknowledgement —
-                # silently diverging the two sides' vectors.  The
-                # receiver pops offers and sets ``completed`` inside
-                # one critical section, so under the lock the offer is
-                # either still parked (remove it) or was matched in
-                # the race window (treat the send as completed).
-                with self._lock:
-                    if offer.completed.is_set():
-                        completed = True
-                    else:
-                        self._inboxes[to].remove(offer)
-                        if self._codec is not None:
-                            # The reclaimed offer's frame advanced the
-                            # encoder snapshot but the decoder never saw
-                            # it; the next frame on this channel must be
-                            # self-describing or the sides desynchronise.
-                            self._codec.force_resync((sender, to))
-            if timed:
-                waited = time.perf_counter() - wait_started
-                if m is not None:
-                    m.rendezvous_wait_seconds.observe(waited)
-                    if completed:
-                        m.rendezvous_block_seconds.observe(waited)
-                        m.rendezvous_block_quantiles.observe(waited)
-                    sp.set_attribute("blocking_seconds", waited)
-                if fr is not None:
-                    fr.record(
-                        _flightrec.BLOCK_END,
-                        sender,
-                        peer=to,
-                        op="send",
-                        status="matched" if completed else "timeout",
-                        seconds=waited,
-                    )
-            if not completed:
-                raise RuntimeDeadlockError(
-                    f"send from {sender!r} to {to!r} timed out; "
-                    "no matching receive"
-                )
-            assert offer.ack_vector is not None
+                entry = self._await(wait)
+            sp.set_attribute("blocking_seconds", offer.waited)
+            ack_vector = offer.ack
             if self._codec is not None:
-                assert offer.ack_blob is not None
                 # Decode the real frame — divergence from the vector
                 # the receiver committed against would trip the
                 # timestamp cross-check below.
-                ack_vector = self._codec.decode(
-                    (to, sender), offer.ack_blob
-                )
-            else:
-                ack_vector = offer.ack_vector
+                ack_vector = self._codec.decode((to, sender), ack_vector)
+            m = _obs.metrics
             if m is not None:
                 stamp_started = time.perf_counter()
                 timestamp = clock.on_acknowledgement(to, ack_vector)
                 m.stamp_latency_quantiles.observe(
                     time.perf_counter() - stamp_started
                 )
-                m.piggyback_quantiles.observe(
-                    _obs.piggyback_size_bytes(ack_vector)
-                )
             else:
                 timestamp = clock.on_acknowledgement(to, ack_vector)
-            if timestamp != offer.timestamp:  # pragma: no cover
+            if timestamp != entry.timestamp:  # pragma: no cover
                 raise SimulationError(
                     "sender and receiver disagree on a message timestamp"
                 )
@@ -312,118 +228,41 @@ class SynchronousTransport:
         """Blocking receive; returns ``(sender, payload, timestamp)``."""
         self._check_poisoned()
         clock = self._clocks[receiver]
-        m = _obs.metrics
-        fr = _flightrec.recorder
         with _obs.span(
             "rendezvous.receive",
             receiver=str(receiver),
             source=None if source is None else str(source),
         ) as sp:
-            if fr is not None:
-                fr.record(
-                    _flightrec.BLOCK_START,
-                    receiver,
-                    peer=source,
-                    op="receive",
-                )
-            timed = m is not None or fr is not None
-            wait_started = time.perf_counter() if timed else 0.0
             with self._lock:
-                try:
-                    offer = self._take_offer(receiver, source)
-                except RuntimeDeadlockError:
-                    if timed:
-                        waited = time.perf_counter() - wait_started
-                        if m is not None:
-                            m.rendezvous_wait_seconds.observe(waited)
-                        if fr is not None:
-                            fr.record(
-                                _flightrec.BLOCK_END,
-                                receiver,
-                                peer=source,
-                                op="receive",
-                                status="timeout",
-                                seconds=waited,
-                            )
-                    raise
-                if timed:
-                    waited = time.perf_counter() - wait_started
-                    if m is not None:
-                        m.rendezvous_wait_seconds.observe(waited)
-                        m.rendezvous_block_seconds.observe(waited)
-                        m.rendezvous_block_quantiles.observe(waited)
-                        sp.set_attribute("blocking_seconds", waited)
-                        sp.set_attribute("sender", str(offer.sender))
-                    if fr is not None:
-                        fr.record(
-                            _flightrec.BLOCK_END,
-                            receiver,
-                            peer=offer.sender,
-                            op="receive",
-                            status="matched",
-                            seconds=waited,
-                        )
+                wait = _Wait(self._lock)
+                recv = self._sequencer.recv(
+                    receiver, source, time.monotonic(), wait
+                )
+                offer = self._await(wait)
+                sender = offer.process
+                piggybacked = offer.piggy
                 if self._codec is not None:
-                    assert offer.piggy_blob is not None
                     piggybacked = self._codec.decode(
-                        (offer.sender, receiver), offer.piggy_blob
+                        (sender, receiver), piggybacked
                     )
-                else:
-                    piggybacked = offer.piggybacked
+                m = _obs.metrics
                 if m is not None:
                     stamp_started = time.perf_counter()
-                    ack_vector, timestamp = clock.on_receive(
-                        offer.sender, piggybacked
-                    )
+                    ack, timestamp = clock.on_receive(sender, piggybacked)
                     m.stamp_latency_quantiles.observe(
                         time.perf_counter() - stamp_started
                     )
-                    m.piggyback_quantiles.observe(
-                        _obs.piggyback_size_bytes(piggybacked)
-                    )
                 else:
-                    ack_vector, timestamp = clock.on_receive(
-                        offer.sender, piggybacked
-                    )
-                offer.ack_vector = ack_vector
+                    ack, timestamp = clock.on_receive(sender, piggybacked)
                 if self._codec is not None:
-                    offer.ack_blob = self._codec.encode(
-                        (receiver, offer.sender), ack_vector
-                    )
-                offer.timestamp = timestamp
-                self._log.append(
-                    DeliveredMessage(
-                        order=len(self._log),
-                        sender=offer.sender,
-                        receiver=receiver,
-                        payload=offer.payload,
-                        timestamp=timestamp,
-                    )
+                    ack = self._codec.encode((receiver, sender), ack)
+                entry = self._sequencer.ack(
+                    receiver, timestamp, ack, time.monotonic()
                 )
-                commit_order = len(self._log) - 1
-                if m is not None:
-                    m.rendezvous_total.inc()
-                    sp.set_attribute("commit_order", commit_order)
-                if fr is not None:
-                    fr.record(
-                        _flightrec.RENDEZVOUS,
-                        receiver,
-                        peer=offer.sender,
-                        commit_order=commit_order,
-                        payload=repr(offer.payload),
-                    )
-                aud = _audit.auditor
-                if aud is not None:
-                    # Commit order is established under the transport
-                    # lock, so the auditor sees messages in exactly the
-                    # order the log records them.
-                    aud.on_runtime_message(
-                        offer.sender, receiver, timestamp
-                    )
-                self._message_counts[offer.sender] += 1
-                self._message_counts[receiver] += 1
-                offer.completed.set()
-                return offer.sender, offer.payload, timestamp
+            sp.set_attribute("blocking_seconds", recv.waited)
+            sp.set_attribute("sender", str(sender))
+            sp.set_attribute("commit_order", entry.order)
+            return sender, offer.payload, timestamp
 
     def record_internal(self, process: Process, label: str) -> InternalEvent:
         """Record an internal event of ``process`` (a compute action).
@@ -433,53 +272,53 @@ class SynchronousTransport:
         """
         self._check_poisoned()
         with self._lock:
-            slot = self._message_counts[process]
-            counter = 1 + sum(
-                1 for e in self._internal[process] if e.slot == slot
+            return self._sequencer.internal(
+                process, label, time.monotonic()
             )
-            serial = sum(len(events) for events in self._internal.values())
-            event = InternalEvent(
-                process, slot, counter, f"{label}#{serial + 1}"
-            )
-            self._internal[process].append(event)
-            fr = _flightrec.recorder
-            if fr is not None:
-                fr.record(
-                    _flightrec.INTERNAL,
-                    process,
-                    label=event.name,
-                    slot=slot,
-                )
-            return event
 
-    def _take_offer(
-        self, receiver: Process, source: Optional[Process]
-    ) -> _Offer:
-        # A monotonic deadline, not a per-wait budget: every wakeup of
-        # ``_arrival`` (including offers destined for other receivers
-        # or from filtered-out senders) loops back here, and passing
-        # the full timeout again would let steady unrelated traffic
-        # push a receiver's timeout out indefinitely.
-        deadline = time.monotonic() + self._timeout
+    def _await(self, wait: _Wait) -> Any:
+        """Block (lock held) until the sequencer resolves ``wait``.
 
-        def matching() -> Optional[int]:
-            for position, offer in enumerate(self._inboxes[receiver]):
-                if source is None or offer.sender == source:
-                    return position
-            return None
+        A waiting thread sleeps until it is resolved or until the
+        sequencer's next deadline, then sweeps: whichever thread wakes
+        first times out every wait that is due, its own or another's.
+        A match that won the race against a deadline was committed
+        under the lock before the sweep, so it resolves as a success.
+        """
+        sequencer = self._sequencer
+        self._waits.add(wait)
+        try:
+            while wait.outcome is None:
+                if sequencer.poisoned is not None:
+                    raise SimulationError(sequencer.poisoned)
+                now = time.monotonic()
+                deadline = sequencer.next_deadline()
+                if deadline is not None and deadline <= now:
+                    sequencer.tick(now)
+                else:
+                    wait.cond.wait(
+                        None if deadline is None else deadline - now
+                    )
+        finally:
+            self._waits.discard(wait)
+        if isinstance(wait.outcome, BaseException):
+            raise wait.outcome
+        return wait.outcome
 
-        position = matching()
-        while position is None:
-            if self._poisoned is not None:
-                raise SimulationError(self._poisoned)
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise RuntimeDeadlockError(
-                    f"receive on {receiver!r} (from {source!r}) timed out"
-                )
-            self._arrival.wait(timeout=remaining)
-            position = matching()
-        return self._inboxes[receiver].pop(position)
+    # -- sequencer effects ---------------------------------------------
+    def on_deliver(self, offer: Wait) -> None:
+        _resolve(offer.partner.token, offer)
+
+    def on_complete(self, offer: Wait, entry: DeliveredMessage) -> None:
+        _resolve(offer.token, entry)
+
+    def on_timeout(self, wait: Wait, reason: str) -> None:
+        if wait.op == SEND and self._codec is not None:
+            # The timed-out offer's frame advanced the encoder snapshot
+            # but the decoder never saw it; the next frame on this
+            # channel must be self-describing or the sides desynchronise.
+            self._codec.force_resync((wait.process, wait.peer))
+        _resolve(wait.token, RuntimeDeadlockError(reason))
 
     # ------------------------------------------------------------------
     @property
@@ -494,42 +333,11 @@ class SynchronousTransport:
         with self._lock:
             return self._codec.stats_dict()
 
-    @property
-    def log(self) -> List[DeliveredMessage]:
-        """Committed messages in global commit order."""
-        with self._lock:
-            return list(self._log)
 
-    def as_computation(self) -> SyncComputation:
-        """Rebuild the equivalent :class:`SyncComputation` from the log.
-
-        The commit order is consistent with every per-process order, so
-        the rebuilt computation has the same message poset the threads
-        actually produced.
-        """
-        pairs = [(entry.sender, entry.receiver) for entry in self.log]
-        return SyncComputation.from_pairs(self._decomposition.graph, pairs)
-
-    def collected_timestamps(self) -> List[VectorTimestamp]:
-        """Timestamps in commit order (aligned with ``as_computation``)."""
-        return [entry.timestamp for entry in self.log]
-
-    def as_evented_computation(self) -> EventedComputation:
-        """The run including its compute actions as internal events.
-
-        Feed the result to
-        :func:`repro.clocks.events.timestamp_internal_events` together
-        with the message assignment to obtain Section 5 triples for
-        every compute action.
-        """
-        computation = self.as_computation()
-        with self._lock:
-            events = [
-                event
-                for process in self._decomposition.graph.vertices
-                for event in self._internal[process]
-            ]
-        return EventedComputation(computation, events)
+def _resolve(wait: Optional[_Wait], outcome: Any) -> None:
+    if wait is not None:
+        wait.outcome = outcome
+        wait.cond.notify()
 
 
 # ----------------------------------------------------------------------

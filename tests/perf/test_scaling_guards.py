@@ -18,10 +18,13 @@ from repro.core.chains import minimum_chain_partition, width
 from repro.graphs.decomposition import decompose, paper_decomposition_algorithm
 from repro.graphs.generators import (
     client_server_topology,
+    path_topology,
     random_connected,
     tree_topology,
 )
 from repro.order.message_order import message_poset
+from repro.sim.computation import InternalEvent
+from repro.sim.runtime import SynchronousTransport
 from repro.sim.workload import (
     random_computation,
     sequential_chain_computation,
@@ -92,3 +95,19 @@ class TestLargeComputations:
             assert (assignment.of(m1) < assignment.of(m2)) == poset.less(
                 m1, m2
             )
+
+
+class TestRuntimeBookkeeping:
+    def test_fifty_thousand_internal_events(self):
+        """Each internal event costs O(1): the per-slot counter and the
+        serial are kept, not recounted (a rescan is quadratic and needs
+        about a minute at this size)."""
+        transport = SynchronousTransport(decompose(path_topology(2)))
+        for _ in range(25_000):
+            transport.record_internal("P1", "compute")
+            transport.record_internal("P2", "compute")
+        events = transport.as_evented_computation().internal_events()
+        assert len(events) == 50_000
+        assert events[-1] == InternalEvent(
+            "P2", 0, 25_000, "compute#50000"
+        )

@@ -192,7 +192,9 @@ class TestDistributedBasics:
         ).run()
         evented = transport.as_evented_computation()
         assert evented is not None
-        events = transport._internal["P1"]
+        events = [
+            e for e in evented.internal_events() if e.process == "P1"
+        ]
         assert [(e.slot, e.counter) for e in events] == [(0, 1), (1, 1)]
         assert transport.stats.internal_events == 2
 
@@ -314,6 +316,83 @@ class TestDistributedObservability:
         snapshot = obs.registry.snapshot()
         assert snapshot["rendezvous_total"]["value"] == 1
         assert obs.rendezvous_block_seconds.count == 2
+
+
+class TestUnacknowledgedDelivery:
+    """A delivered pair whose receiver never acknowledges.
+
+    Both sides blocked, so both must end: one flight ``block_end`` with
+    ``status="timeout"`` each, one ``stats.timeouts`` each, one
+    ``rendezvous_wait_seconds`` observation each and, with the live
+    plane on, one ``on_wait_timeout`` each.
+    """
+
+    @staticmethod
+    def _timeout_ends(rec):
+        return sorted(
+            (event.process, event.detail["op"], event.peer)
+            for event in rec.events()
+            if event.kind == flightrec.BLOCK_END
+            and event.detail.get("status") == "timeout"
+        )
+
+    def test_receiver_failing_before_ack_closes_both_blocks(self):
+        # P1 -> P3 is not an edge of the path, so P3's clock rejects
+        # the delivery and its node fails between DELIVER and ACK_UP.
+        decomposition = decompose(path_topology(3))
+        with flightrec.recording_session(capacity=1024) as rec:
+            transport = DistributedScriptRunner(
+                decomposition,
+                {"P1": [send("P3", "x")], "P2": [], "P3": [receive()]},
+                timeout=10.0,
+            ).run(raise_on_error=False)
+        assert transport.log == []
+        assert self._timeout_ends(rec) == [
+            ("P1", "send", "P3"),
+            ("P3", "receive", "P1"),
+        ]
+        assert transport.stats.timeouts == 2
+
+    def test_ack_deadline_times_out_both_sides(self):
+        from types import SimpleNamespace
+
+        from repro.sim.distributed import _Coordinator
+
+        timed_out = []
+        live = SimpleNamespace(
+            config=SimpleNamespace(interval_seconds=1.0, on_tick=None),
+            on_wait_timeout=lambda *args: timed_out.append(args[:3]),
+        )
+        coordinator = _Coordinator(
+            decompose(path_topology(2)),
+            expected=["P1", "P2"],
+            timeout=1.0,
+            idle_timeout=5.0,
+            live=live,
+        )
+        sequencer = coordinator._sequencer
+        with instrument.enabled_session() as obs:
+            with flightrec.recording_session(capacity=1024) as rec:
+                coordinator._on_offer(
+                    "P1", {"to": "P2", "payload": "m"}, b"\x01", 0.0
+                )
+                sequencer.recv("P2", None, 0.1)
+                assert sequencer.blocked() == {"P1", "P2"}
+                sequencer.tick(5.0)
+        assert self._timeout_ends(rec) == [
+            ("P1", "send", "P2"),
+            ("P2", "receive", "P1"),
+        ]
+        assert sorted(timed_out) == [
+            ("P1", "send", "P2"),
+            ("P2", "receive", "P1"),
+        ]
+        assert obs.rendezvous_wait_seconds.count == 2
+        assert coordinator.result.stats.timeouts == 2
+        assert sequencer.blocked() == frozenset()
+        assert [str(e) for e in coordinator.result.errors] == [
+            "receiver 'P2' never acknowledged a delivery from 'P1'"
+        ]
 
 
 class TestLoadDriver:

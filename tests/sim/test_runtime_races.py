@@ -2,8 +2,8 @@
 
 Three latent races in the threaded transport are pinned here:
 
-* the receive timeout restarting on every unrelated ``_arrival`` wakeup
-  (the timeout was a per-wait budget, not a deadline);
+* the receive timeout restarting on every unrelated wakeup (the
+  timeout was a per-wait budget, not a deadline);
 * a timed-out send leaving its offer in the receiver's inbox, where a
   later receive could match it and commit a ghost message while the
   departed sender's clock never advanced;
@@ -15,11 +15,13 @@ Each regression test fails against the pre-fix transport.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
 import pytest
 
+from repro.clocks.online import OnlineEdgeClock
 from repro.core.vector import VectorTimestamp
 from repro.exceptions import RuntimeDeadlockError, SimulationError
 from repro.graphs.decomposition import decompose
@@ -33,7 +35,7 @@ from repro.obs import instrument
 from repro.sim.runtime import (
     ScriptRunner,
     SynchronousTransport,
-    _Offer,
+    compute,
     receive,
     send,
 )
@@ -43,11 +45,12 @@ class TestReceiveTimeoutDeadline:
     def test_unrelated_offers_do_not_reset_the_timeout(self):
         """A receiver under steady non-matching traffic still times out.
 
-        Pre-fix, ``_take_offer`` re-armed the full timeout after every
-        ``_arrival`` wakeup, so the feeder below (posting a non-matching
-        offer every 50ms) kept the receiver blocked for as long as the
+        Pre-fix, the receive re-armed the full timeout after every
+        wakeup, so the feeder below (posting a non-matching offer every
+        50ms through the sequencer's ``offer`` input, under the
+        transport lock) kept the receiver blocked for as long as the
         feeder ran.  Post-fix the deadline is monotonic: the receiver
-        raises after ~0.4s even though wakeups never stop.
+        raises after ~0.4s even though the traffic never stops.
         """
         decomposition = decompose(path_topology(3))
         transport = SynchronousTransport(decomposition, timeout=0.4)
@@ -59,10 +62,9 @@ class TestReceiveTimeoutDeadline:
             # on source P3, so these wake it without ever matching.
             while not stop.is_set():
                 with transport._lock:
-                    transport._inboxes["P2"].append(
-                        _Offer("P1", None, zero)
+                    transport._sequencer.offer(
+                        "P1", "P2", None, zero, time.monotonic()
                     )
-                    transport._arrival.notify_all()
                 time.sleep(0.05)
 
         outcome: dict = {}
@@ -130,7 +132,7 @@ class TestStaleOfferReclamation:
     def test_timed_out_send_leaves_no_ghost_offer(self):
         """A receive after the sender gave up must not commit a ghost.
 
-        Pre-fix the timed-out send left its ``_Offer`` parked, so the
+        Pre-fix the timed-out send left its offer parked, so the
         late receive matched it, committed the message, and completed
         the event into the void — with the sender's clock never running
         ``on_acknowledgement``.
@@ -140,7 +142,7 @@ class TestStaleOfferReclamation:
         with pytest.raises(RuntimeDeadlockError):
             transport.send("P1", "P2", "ghost")
         # The sender is gone; its offer must be gone too.
-        assert transport._inboxes["P2"] == []
+        assert transport._sequencer.open_waits() == {}
         with pytest.raises(RuntimeDeadlockError):
             transport.receive("P2")
         assert transport.log == []
@@ -237,7 +239,7 @@ class TestStuckThreadPoisoning:
             runner.run()
 
     def test_poison_wakes_blocked_receivers(self):
-        """A receiver parked in ``_take_offer`` fails fast on poison."""
+        """A receiver parked in a rendezvous fails fast on poison."""
         decomposition = decompose(path_topology(2))
         transport = SynchronousTransport(decomposition, timeout=10.0)
         outcome: dict = {}
@@ -316,3 +318,78 @@ class TestTimeoutObservability:
         # timeout — the deadline is a floor, not a suggestion.
         for event in timeout_ends:
             assert event.detail["seconds"] >= 0.4 - 0.05
+
+
+class TestUnacknowledgedDelivery:
+    def test_receiver_failing_before_ack_times_out_the_sender(self):
+        """The delivered pair's deadline frees the sender.
+
+        P1 -> P3 is not an edge of the path, so P3's clock raises after
+        the delivery and never acknowledges.  Pre-fix the sender's
+        reclamation tried to remove an offer that was no longer parked
+        and died with ``ValueError``; now both sides time out.
+        """
+        decomposition = decompose(path_topology(3))
+        with flightrec.recording_session(capacity=256) as rec:
+            transport = ScriptRunner(
+                decomposition,
+                {"P1": [send("P3", "x")], "P2": [], "P3": [receive()]},
+                timeout=0.5,
+            ).run(raise_on_error=False)
+        assert transport.log == []
+        assert [type(e).__name__ for e in transport.errors] == [
+            "EdgeNotFoundError",
+            "RuntimeDeadlockError",
+        ]
+        assert "never acknowledged" in str(transport.errors[1])
+        ends = sorted(
+            (event.process, event.detail["op"], event.detail["status"])
+            for event in rec.events()
+            if event.kind == flightrec.BLOCK_END
+        )
+        assert ends == [
+            ("P1", "send", "timeout"),
+            ("P3", "receive", "timeout"),
+        ]
+
+
+class TestSharedSequencerStress:
+    def test_many_threads_on_one_sequencer(self):
+        """More threads than cores hammer the one shared sequencer.
+
+        With a tiny switch interval, a lost update anywhere in the
+        lock-protected state would show up as a missing commit, a
+        timestamp the replay disagrees with, or a broken internal-event
+        counter or serial.
+        """
+        leaves, rounds = 6, 20
+        decomposition = decompose(star_topology(leaves))
+        hub = "P1"
+        scripts = {hub: [receive() for _ in range(leaves * rounds)]}
+        for i in range(1, leaves + 1):
+            scripts[f"P1_leaf{i}"] = [
+                action
+                for r in range(rounds)
+                for action in (compute("work"), send(hub, r))
+            ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            transport = ScriptRunner(
+                decomposition, scripts, timeout=20.0
+            ).run()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(transport.log) == leaves * rounds
+        replay = OnlineEdgeClock(decomposition).timestamp_computation(
+            transport.as_computation()
+        )
+        assert [
+            replay.of(m) for m in transport.as_computation().messages
+        ] == transport.collected_timestamps()
+        events = transport.as_evented_computation().internal_events()
+        assert sorted(int(e.name.split("#")[1]) for e in events) == list(
+            range(1, leaves * rounds + 1)
+        )
+        for event in events:
+            assert event.counter == 1
