@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test obs-check obs-report obs-timeline obs-live lint bench bench-batch bench-offline bench-lattice bench-runtime bench-parallel bench-wire bench-decompose bench-report examples all clean
+.PHONY: install test obs-check obs-report obs-timeline obs-live lint bench bench-batch bench-offline bench-lattice bench-runtime bench-parallel bench-wire bench-obs bench-decompose bench-report examples all clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -99,6 +99,12 @@ bench-parallel:
 # BENCH_WIRE_OUT=path to write the snapshot elsewhere.
 bench-wire:
 	$(PYTHON) -m pytest benchmarks/test_bench_wire.py -q
+
+# Observability overhead: online stamping with obs off and on, timeline
+# export, live telemetry and the quantile sketch; refreshes
+# BENCH_obs.json (every row, so no --benchmark-only).
+bench-obs:
+	$(PYTHON) -m pytest benchmarks/test_bench_obs.py -q
 
 # Edge-decomposition scaling (decompose on 60 to 2,010 processes);
 # refreshes BENCH_decompose.json.  Set BENCH_DECOMPOSE_SMOKE=1 for a

@@ -31,7 +31,12 @@ header, see :func:`repro.sim.wire.parse_wire_format`):
     to the full-vector path (property-tested).  Resyncs are emitted
     periodically (``resync_interval``), on :meth:`force_resync` (a
     reclaimed/timed-out offer whose frame never reached the decoder),
-    and whenever the delta would not be smaller than the full frame.
+    on non-monotone input, and whenever the delta would take
+    ``size + 1`` bytes or more.  ``size + 1`` is the length of a resync
+    frame only while every component fits one byte; once components
+    pass 127 the resync frame is longer, so the codec can send a resync
+    that is *larger* than the delta it replaces (on a 3-wide hub
+    workload most frames resync this way).
 
 ``bounded:K``
     Stateless lossy frames inspired by the K-entry clock ring of
@@ -63,6 +68,8 @@ the dict operations themselves are atomic under CPython.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import ne
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.vector import VectorTimestamp
@@ -76,6 +83,7 @@ from repro.sim.wire import (
     WireError,
     decode_varint,
     encode_varint,
+    encode_varints,
     parse_wire_format,
 )
 
@@ -96,6 +104,9 @@ __all__ = [
 DEFAULT_RESYNC_INTERVAL = 64
 
 ChannelKey = Hashable
+
+#: The first byte of a resync frame.
+_RESYNC_TAG = bytes((PB_TAG_FULL,))
 
 
 def bound_components(components: Sequence[int], k: int) -> List[int]:
@@ -170,18 +181,6 @@ class PiggybackCodec:
             "payload_bytes": self.payload_bytes,
         }
 
-    def _account(self, blob: bytes, resync: bool) -> None:
-        self.frames += 1
-        self.payload_bytes += len(blob)
-        if resync:
-            self.resyncs += 1
-        if self.kind != WIRE_FORMAT_FULL:
-            m = _obs.metrics
-            if m is not None:
-                m.piggyback_delta_bytes.inc(len(blob))
-                if resync:
-                    m.delta_resync_total.inc()
-
 
 class FullVectorCodec(PiggybackCodec):
     """The baseline format: one LEB128 varint per component.
@@ -193,8 +192,9 @@ class FullVectorCodec(PiggybackCodec):
     kind = WIRE_FORMAT_FULL
 
     def encode(self, key: ChannelKey, vector) -> bytes:
-        blob = b"".join(encode_varint(component) for component in vector)
-        self._account(blob, resync=False)
+        blob = encode_varints(vector)
+        self.frames += 1
+        self.payload_bytes += len(blob)
         return blob
 
     def decode(self, key: ChannelKey, blob: bytes) -> VectorTimestamp:
@@ -212,7 +212,13 @@ class FullVectorCodec(PiggybackCodec):
 
 
 class DeltaChannelCodec(PiggybackCodec):
-    """Stateful differential frames with periodic full resyncs."""
+    """Stateful differential frames with periodic full resyncs.
+
+    A frame costs Python work in proportion to the components that
+    changed: one C-level scan finds them, and each one appends its
+    ``(index+1, increment)`` pair to the frame, one byte each while the
+    index is below 127 and the increment below 128.
+    """
 
     kind = WIRE_FORMAT_DELTA
 
@@ -228,8 +234,10 @@ class DeltaChannelCodec(PiggybackCodec):
                 f"resyncs), got {resync_interval}"
             )
         self._resync_interval = resync_interval
-        self._sent: Dict[ChannelKey, List[int]] = {}
-        self._since_full: Dict[ChannelKey, int] = {}
+        self._indices = range(size)
+        #: Per channel key: ``[last-sent components, frames since the
+        #: last resync]``, so a frame does one dict lookup.
+        self._sent: Dict[ChannelKey, list] = {}
         self._received: Dict[ChannelKey, List[int]] = {}
         self._force: set = set()
         self.delta_frames = 0
@@ -243,7 +251,6 @@ class DeltaChannelCodec(PiggybackCodec):
 
     def reset_channel(self, key: ChannelKey) -> None:
         self._sent.pop(key, None)
-        self._since_full.pop(key, None)
         self._received.pop(key, None)
         self._force.discard(key)
 
@@ -253,58 +260,72 @@ class DeltaChannelCodec(PiggybackCodec):
         return stats
 
     # ------------------------------------------------------------------
-    def _full_blob(self, components: List[int]) -> bytes:
-        parts = [encode_varint(PB_TAG_FULL)]
-        parts.extend(encode_varint(value) for value in components)
-        return b"".join(parts)
-
     def encode(self, key: ChannelKey, vector) -> bytes:
-        components = [int(value) for value in vector]
-        if len(components) != self._size:
+        components = list(vector)
+        try:
+            # A sum of ints (and bools) is an int; a float, Fraction,
+            # string or foreign component makes it something else.
+            exact = type(sum(components)) is int
+        except TypeError:
+            exact = False
+        if not exact:
+            components = list(map(int, components))
+        size = self._size
+        if len(components) != size:
             raise WireError(
                 f"cannot encode a {len(components)}-component vector "
-                f"on a size-{self._size} channel"
+                f"on a size-{size} channel"
             )
-        last = self._sent.get(key)
-        if last is None:
-            last = [0] * self._size
-            self._sent[key] = last
-            self._since_full[key] = 0
-        want_full = key in self._force or (
-            self._resync_interval > 0
-            and self._since_full[key] >= self._resync_interval
+        state = self._sent.get(key)
+        if state is None:
+            state = self._sent[key] = [[0] * size, 0]
+        last = state[0]
+        interval = self._resync_interval
+        resync = (self._force and key in self._force) or (
+            interval > 0 and state[1] >= interval
         )
-        blob: Optional[bytes] = None
-        if not want_full:
-            parts: List[bytes] = []
-            for index, (new, old) in enumerate(zip(components, last)):
-                if new == old:
-                    continue
-                if new < old:
-                    # Non-monotone input (never the Figure 5 clock);
-                    # increments cannot express it, so resync instead.
-                    want_full = True
-                    break
-                parts.append(encode_varint(index + 1))
-                parts.append(encode_varint(new - old))
-            if not want_full:
-                candidate = b"".join(parts)
-                # Fallback: a delta that saves nothing over the
-                # self-describing frame is not worth the statefulness.
-                if len(candidate) >= self._size + 1:
-                    want_full = True
+        if not resync:
+            changed = list(compress(self._indices, map(ne, components, last)))
+            # Every pair takes at least two bytes, so more than size/2
+            # changes cannot beat the ``size + 1``-byte resync frame.
+            if 2 * len(changed) > size:
+                resync = True
+            else:
+                out = bytearray()
+                for index in changed:
+                    increment = components[index] - last[index]
+                    if increment < 0:
+                        # Non-monotone input (never the Figure 5 clock);
+                        # increments cannot express it, so resync.
+                        resync = True
+                        break
+                    if index < 127 and increment < 128:
+                        out.append(index + 1)
+                        out.append(increment)
+                    else:
+                        out += encode_varint(index + 1)
+                        out += encode_varint(increment)
                 else:
-                    blob = candidate
-        if want_full:
-            blob = self._full_blob(components)
+                    # A delta that saves nothing over the resync frame
+                    # is not worth the statefulness.
+                    resync = len(out) > size
+        if resync:
+            blob = _RESYNC_TAG + encode_varints(components)
             self._force.discard(key)
-            self._since_full[key] = 0
+            state[1] = 0
+            self.resyncs += 1
         else:
-            self._since_full[key] += 1
+            blob = bytes(out)
+            state[1] += 1
             self.delta_frames += 1
-        last[:] = components
-        assert blob is not None
-        self._account(blob, resync=want_full)
+        state[0] = components
+        self.frames += 1
+        self.payload_bytes += len(blob)
+        m = _obs.metrics
+        if m is not None:
+            m.piggyback_delta_bytes.inc(len(blob))
+            if resync:
+                m.delta_resync_total.inc()
         return blob
 
     def decode(self, key: ChannelKey, blob: bytes) -> VectorTimestamp:
@@ -314,6 +335,26 @@ class DeltaChannelCodec(PiggybackCodec):
             self._received[key] = last
         if not blob:
             return VectorTimestamp(last)
+        if blob.isascii():
+            # Every byte is a one-byte varint: a well-formed frame is a
+            # resync tag plus ``size`` values, or whole (tag, increment)
+            # pairs.  Anything else takes the varint-by-varint path
+            # below, which names the error.
+            if blob[0] == PB_TAG_FULL:
+                if len(blob) == self._size + 1:
+                    last[:] = blob[1:]
+                    return VectorTimestamp(last)
+            elif not len(blob) & 1:
+                tags = blob[0::2]
+                increments = blob[1::2]
+                if (
+                    max(tags) <= self._size
+                    and PB_TAG_FULL not in tags
+                    and 0 not in increments
+                ):
+                    for tag, increment in zip(tags, increments):
+                        last[tag - 1] += increment
+                    return VectorTimestamp(last)
         tag, offset = decode_varint(blob, 0)
         if tag == PB_TAG_FULL:
             components = []
@@ -371,7 +412,11 @@ class BoundedEntryCodec(PiggybackCodec):
                 parts.append(encode_varint(index + 1))
                 parts.append(encode_varint(value))
         blob = b"".join(parts)
-        self._account(blob, resync=False)
+        self.frames += 1
+        self.payload_bytes += len(blob)
+        m = _obs.metrics
+        if m is not None:
+            m.piggyback_delta_bytes.inc(len(blob))
         return blob
 
     def decode(self, key: ChannelKey, blob: bytes) -> VectorTimestamp:

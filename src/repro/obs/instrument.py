@@ -378,7 +378,8 @@ def piggyback_size_bytes(vector) -> int:
     total = 0
     for component in vector:
         if isinstance(component, int) and component >= 0:
-            total += varint_size(component)
+            # One byte below 0x80, the common case, without a call.
+            total += 1 if component < 0x80 else varint_size(component)
         else:
             total += COMPONENT_BYTES
     return total

@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.core.vector import VectorTimestamp
 from repro.exceptions import SimulationError
@@ -144,9 +144,28 @@ def decode_varint(data: bytes, offset: int = 0) -> Tuple[int, int]:
             raise WireError("varint exceeds 64 bits")
 
 
+def encode_varints(values: Sequence[int]) -> bytes:
+    """A run of varints, one per value of a sequence (not an iterator).
+
+    A value below 128 is its own one-byte varint, so a run of them is
+    just ``bytes(values)``: one C-level pass instead of a call per
+    value.  Anything else (a wide value, a negative, a non-int) takes
+    the per-value :func:`encode_varint`, with its errors.
+    """
+    try:
+        # ``iter`` keeps ``bytes`` off the buffer protocol, which would
+        # copy e.g. an ``array('q')`` as raw machine words.
+        blob = bytes(iter(values))
+    except (TypeError, ValueError):
+        blob = None
+    if blob is not None and blob.isascii():
+        return blob
+    return b"".join(map(encode_varint, values))
+
+
 def encode_vector(vector: VectorTimestamp) -> bytes:
     """The piggyback bytes of one vector: LEB128 per component."""
-    return b"".join(encode_varint(component) for component in vector)
+    return encode_varints(vector)
 
 
 def decode_vector(

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.apps.monitor import CausalMonitor
 from repro.clocks.offline import OfflineRealizerClock
 from repro.clocks.online import OnlineEdgeClock
@@ -13,6 +19,17 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_SPAN
 from repro.sim.runtime import ScriptRunner, receive, send
 from repro.sim.workload import random_computation
+
+
+def _reference_size(vector) -> int:
+    """``piggyback_size_bytes`` spelled out one component at a time."""
+    total = 0
+    for component in vector:
+        if isinstance(component, int) and component >= 0:
+            total += instrument.varint_size(component)
+        else:
+            total += instrument.COMPONENT_BYTES
+    return total
 
 
 class TestLifecycle:
@@ -119,6 +136,58 @@ class TestPiggybackSizing:
             instrument.piggyback_size_bytes([1.5, 2])
             == instrument.COMPONENT_BYTES + 1
         )
+
+    def test_non_int_components_cost_fixed_width(self):
+        """Only ints (and bools) skip the fixed-width cap.
+
+        Integral floats, negatives, ``None``, exact rationals and
+        foreign types that merely support ``__index__`` each cost
+        :data:`COMPONENT_BYTES`, even when every other component
+        would fit one byte.
+        """
+
+        class IndexOnly:
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        cap = instrument.COMPONENT_BYTES
+        cases = [
+            ([2.0, 3], cap + 1),
+            ([1.0, 1.0], 2 * cap),
+            ([5, -1], 1 + cap),
+            ([-1, 1], cap + 1),
+            ([None, 0], cap + 1),
+            ([Fraction(2), 1], cap + 1),
+            ([Decimal(4), 1], cap + 1),
+            ([IndexOnly(3), 1], cap + 1),
+            ([IndexOnly(3)], cap),
+            ([True, False, 7], 3),
+            ([200, 1], 3),
+        ]
+        for vector, expected in cases:
+            assert instrument.piggyback_size_bytes(vector) == expected
+            assert _reference_size(vector) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(0, 127),
+                st.integers(-5, 2**70),
+                st.booleans(),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.none(),
+            ),
+            max_size=40,
+        )
+    )
+    def test_matches_component_loop(self, vector):
+        expected = _reference_size(vector)
+        assert instrument.piggyback_size_bytes(vector) == expected
+        assert instrument.piggyback_size_bytes(tuple(vector)) == expected
 
 
 class TestOnlineClockIntegration:
