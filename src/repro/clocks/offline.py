@@ -18,11 +18,12 @@ the same strict vector order as everywhere else.
 Every phase above runs on the bitset poset kernel
 (:mod:`repro.core.poset`): the closure is a word-parallel OR-sweep, the
 Dilworth matching consumes the closed bitmask rows directly, and the
-realizer's forced extensions sweep the cached cover rows — the phase
-costs are measured by the ``offline.*`` spans and snapshotted old-kernel
-vs. new-kernel by ``benchmarks/test_bench_offline.py`` into
-``BENCH_offline.json``.  Callers that need the width, partition, and
-timestamps of the *same* computation should build the poset once and use
+realizer lists the cover successors once per poset and runs one FIFO
+sweep per chain over them — the phase costs are measured by the
+``offline.*`` spans and snapshotted old-kernel vs. new-kernel by
+``benchmarks/test_bench_offline.py`` into ``BENCH_offline.json``.
+Callers that need the width, partition, and timestamps of the *same*
+computation should build the poset once and use
 :meth:`OfflineRealizerClock.timestamp_poset` (see the usage cookbook) so
 the per-poset matcher and cover caches are shared across the calls.
 """
@@ -182,13 +183,14 @@ class OfflineRealizerClock(MessageTimestamper[VectorTimestamp]):
         self._last_width = len(realizer)
 
         with _obs.span("offline.rank_vectors", width=len(realizer)):
-            rank_maps = [ranks_in_extension(ext) for ext in realizer]
-            timestamps: Dict[SyncMessage, VectorTimestamp] = {
-                message: VectorTimestamp(
-                    ranks[message] for ranks in rank_maps
-                )
-                for message in poset.elements
-            }
+            elements = poset.elements
+            columns = [
+                list(map(ranks_in_extension(ext).__getitem__, elements))
+                for ext in realizer
+            ]
+            timestamps: Dict[SyncMessage, VectorTimestamp] = dict(
+                zip(elements, map(VectorTimestamp, zip(*columns)))
+            )
         m = _obs.metrics
         if m is not None:
             m.offline_width.set(len(realizer))

@@ -22,9 +22,10 @@ from repro.sim.workload import random_computation
 
 MESSAGES = 5_000
 
-# ~0.3s on the bitset kernel; ~38s on the pre-bitset one.  The budget
-# leaves an order of magnitude of headroom for slow CI boxes while still
-# catching any fallback onto per-pair hash probing.
+# 0.2-0.3s on the bitset kernel, 30-38s on the pre-bitset one (shared
+# 2-vCPU x86-64 VM, CPython 3.11; ``offline_5000`` in BENCH_offline.json).
+# The budget leaves an order of magnitude of headroom for slow CI boxes
+# while still catching any fallback onto per-pair hash probing.
 BUDGET_SECONDS = 20.0
 
 

@@ -15,6 +15,8 @@ from repro.clocks.fm import FMMessageClock
 from repro.clocks.offline import OfflineRealizerClock
 from repro.clocks.online import OnlineEdgeClock
 from repro.core.chains import minimum_chain_partition, width
+from repro.core.linear_extensions import realizer_from_chain_partition
+from repro.core.poset import Poset
 from repro.graphs.decomposition import decompose, paper_decomposition_algorithm
 from repro.graphs.generators import (
     client_server_topology,
@@ -26,8 +28,17 @@ from repro.order.message_order import message_poset
 from repro.sim.computation import InternalEvent
 from repro.sim.runtime import SynchronousTransport
 from repro.sim.workload import (
+    multi_cluster_computation,
     random_computation,
     sequential_chain_computation,
+)
+
+#: The per-poset accessors a realizer sweep could fetch its tables from.
+POSET_TABLE_ACCESSORS = (
+    "above_bit_rows",
+    "cover_bit_rows",
+    "_cover_rows",
+    "successor_index",
 )
 
 
@@ -95,6 +106,33 @@ class TestLargeComputations:
             assert (assignment.of(m1) < assignment.of(m2)) == poset.less(
                 m1, m2
             )
+
+
+    def test_realizer_builds_poset_tables_once(self, monkeypatch):
+        """The realizer reads the poset's rows once for all its chains,
+        not once per chain: a wide poset must cost the same number of
+        accessor calls for its whole partition as for one chain."""
+        computation = multi_cluster_computation(2, 60, random.Random(8))
+        poset = message_poset(computation)
+        chains = minimum_chain_partition(poset)
+        assert len(chains) >= 8
+
+        calls = []
+        for name in POSET_TABLE_ACCESSORS:
+            original = getattr(Poset, name)
+
+            def counted(self, _original=original, _name=name):
+                calls.append(_name)
+                return _original(self)
+
+            monkeypatch.setattr(Poset, name, counted)
+
+        realizer_from_chain_partition(poset, chains[:1])
+        one_chain = len(calls)
+        calls.clear()
+        realizer = realizer_from_chain_partition(poset, chains)
+        assert len(realizer) == len(chains)
+        assert 0 < len(calls) == one_chain
 
 
 class TestRuntimeBookkeeping:
