@@ -4,7 +4,7 @@ Enumerates and counts the lattice of consistent global states on two
 implementations:
 
 * **reference** — the seed layered BFS preserved in
-  :func:`repro.core.ideals.ideals_reference`: per-layer sets of
+  :func:`tests.core.poset_oracle.ideals_reference`: per-layer sets of
   frozensets, per-element closure tests, hash de-duplication;
 * **kernel** — :mod:`repro.core.lattice_kernel`'s chain-indexed bitset
   walk: a minimum chain partition (width ≤ ⌊N/2⌋ by Theorem 8), ideals
@@ -28,12 +28,13 @@ import time
 import pytest
 
 from benchmarks.conftest import emit, record_lattice_perf
-from repro.core.ideals import all_ideals, ideals_reference
+from repro.core.ideals import all_ideals
 from repro.core.lattice_kernel import count_ideals, iterate_ideal_masks
 from repro.graphs.generators import complete_topology
 from repro.obs import instrument
 from repro.order.message_order import message_poset
 from repro.sim.workload import adversarial_antichain_computation
+from tests.core.poset_oracle import ideals_reference
 
 SMOKE = os.environ.get("BENCH_LATTICE_SMOKE") == "1"
 

@@ -1,23 +1,23 @@
 """Experiment batch — offline (Figure 9) pipeline, old vs. new kernel.
 
 Runs the complete offline realizer pipeline — message-poset closure,
-Dilworth chain partition, chain-forced realizer, rank vectors — on two
-poset kernels:
+Dilworth chain partition, chain-forced realizer, rank vectors — twice:
 
-* **reference** — the seed dict-of-sets implementation, preserved in
-  :mod:`repro.core.poset_reference`: per-element ``set`` closure and
-  hash-probing pair machinery;
-* **bitset** — :class:`repro.core.poset.Poset`'s bitmask rows:
-  word-parallel closure, mask-fed Hopcroft–Karp, cover-row realizer
-  sweeps.
+* **reference** — :func:`tests.core.poset_oracle.reference_offline`,
+  the seed dict-of-sets poset kernel (per-element ``set`` closure and
+  hash-probing pair machinery), a list-fed Hopcroft–Karp and the frozen
+  per-chain realizer sweep of :mod:`tests.core.realizer_oracle`;
+* **bitset** — the library on :class:`repro.core.poset.Poset`'s bitmask
+  rows: word-parallel closure, mask-fed Hopcroft–Karp, cover-row
+  realizer sweeps.
 
 Workloads are the 1k-message client–server scalability run and a
 5k-message run of the same shape (width 3), plus a wide row: four
 independent 8x22 client/server clusters of 500 messages each (width
 32), where the realizer's one sweep per chain is the largest offline
-phase.  Before any timing is recorded the two kernels are pinned to
-byte-identical timestamps, identical widths, and identical ``_obs``
-metric snapshots.  Results land in
+phase.  Before any timing is recorded the two pipelines are pinned to
+byte-identical timestamps and realizers, and the library's ``_obs``
+width and message counters to the oracle's.  Results land in
 ``BENCH_offline.json`` (``make bench-offline``); with
 ``BENCH_OFFLINE_SMOKE=1`` (the CI smoke step) everything runs one round
 at reduced sizes and the committed snapshot is left untouched.
@@ -35,12 +35,12 @@ from benchmarks.conftest import emit, record_offline_perf
 from repro.clocks.offline import OfflineRealizerClock
 from repro.core.linear_extensions import realizer_from_chain_partition
 from repro.core.poset import Poset
-from repro.core.poset_reference import ReferencePoset
 from repro.graphs.generators import client_server_topology
 from repro.obs import instrument
 from repro.obs.metrics import MetricsRegistry
 from repro.order.message_order import covering_pairs
 from repro.sim.workload import multi_cluster_computation, random_computation
+from tests.core.poset_oracle import ReferencePoset, reference_offline
 
 SMOKE = os.environ.get("BENCH_OFFLINE_SMOKE") == "1"
 
@@ -67,14 +67,6 @@ def _wide_workload():
     )
 
 
-def _reference_pipeline(computation):
-    """The pre-PR pipeline: dict-of-sets closure + list-fed matcher."""
-    clock = OfflineRealizerClock()
-    poset = ReferencePoset(computation.messages, covering_pairs(computation))
-    assignment = clock.timestamp_poset(computation, poset)
-    return clock, assignment
-
-
 def _bitset_pipeline(computation):
     """The shipped pipeline: bitmask closure + mask-fed matcher."""
     clock = OfflineRealizerClock()
@@ -93,43 +85,42 @@ def _best_seconds(fn, *args, repeats: int = REPEATS) -> float:
 
 
 def _assert_stamps_identical(computation, new, ref) -> None:
-    new_clock, new_assignment = new
-    ref_clock, ref_assignment = ref
+    """``new`` is the library's ``(clock, assignment)``, ``ref`` the
+    oracle's ``(realizer, stamps)``."""
+    clock, assignment = new
+    realizer, stamps = ref
     for message in computation.messages:
         assert (
-            new_assignment.of(message).components
-            == ref_assignment.of(message).components
+            assignment.of(message).components == stamps[message].components
         )
-    assert new_clock.timestamp_size == ref_clock.timestamp_size
-    assert new_clock.realizer == ref_clock.realizer
+    assert clock.timestamp_size == len(realizer)
+    assert clock.realizer == realizer
 
 
 @pytest.mark.parametrize("messages", SIZES)
 def test_offline_kernels_agree_exactly(report_header, messages):
-    """Byte-identical timestamps, width, and ``_obs`` counters."""
+    """Byte-identical timestamps and realizer; width and message
+    counters equal to the oracle's."""
     computation = _workload(messages)
 
+    realizer, stamps = reference_offline(computation)
     with instrument.enabled_session(MetricsRegistry()) as bundle:
-        ref_clock, ref_assignment = _reference_pipeline(computation)
-        ref_counters = bundle.registry.snapshot()
-    with instrument.enabled_session(MetricsRegistry()) as bundle:
-        new_clock, new_assignment = _bitset_pipeline(computation)
-        new_counters = bundle.registry.snapshot()
+        clock, assignment = _bitset_pipeline(computation)
+        counters = bundle.registry.snapshot()
 
     _assert_stamps_identical(
-        computation,
-        (new_clock, new_assignment),
-        (ref_clock, ref_assignment),
+        computation, (clock, assignment), (realizer, stamps)
     )
-    assert new_counters == ref_counters
+    assert counters["offline_width"]["value"] == len(realizer)
+    assert counters["messages_timestamped_total"]["value"] == len(stamps)
 
     report_header(
         f"Offline kernels: equivalence on the {messages}-message workload"
     )
     emit(
-        f"{messages} messages (width {new_clock.timestamp_size}): "
-        f"timestamps, realizer, and all {len(new_counters)} metric "
-        "snapshots identical"
+        f"{messages} messages (width {clock.timestamp_size}): "
+        "timestamps and realizer identical to the oracle; "
+        "offline_width and messages_timestamped_total match it"
     )
 
 
@@ -143,7 +134,7 @@ def test_offline_speedup_snapshot(report_header, messages):
     construct_ref = _best_seconds(ReferencePoset, computation.messages, pairs)
     construct_new = _best_seconds(Poset, computation.messages, pairs)
 
-    ref_seconds = _best_seconds(_reference_pipeline, computation)
+    ref_seconds = _best_seconds(reference_offline, computation)
     new_seconds = _best_seconds(_bitset_pipeline, computation)
     speedup = ref_seconds / new_seconds
 
@@ -189,7 +180,7 @@ def test_wide_offline_snapshot(report_header):
 
     clock, assignment = _bitset_pipeline(computation)
     _assert_stamps_identical(
-        computation, (clock, assignment), _reference_pipeline(computation)
+        computation, (clock, assignment), reference_offline(computation)
     )
 
     # Each timestamp_poset run gets a fresh poset, so no cache is warm.
@@ -247,7 +238,7 @@ def test_offline_stamping_benchmark(benchmark, kernel):
     computation = _workload(messages)
     instrument.disable()
     pipeline = (
-        _reference_pipeline if kernel == "reference" else _bitset_pipeline
+        reference_offline if kernel == "reference" else _bitset_pipeline
     )
     _, assignment = benchmark(pipeline, computation)
     assert len(assignment) == messages

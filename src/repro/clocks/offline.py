@@ -20,8 +20,10 @@ Every phase above runs on the bitset poset kernel
 Dilworth matching consumes the closed bitmask rows directly, and the
 realizer lists the cover successors once per poset and runs one FIFO
 sweep per chain over them — the phase costs are measured by the
-``offline.*`` spans and snapshotted old-kernel vs. new-kernel by
-``benchmarks/test_bench_offline.py`` into ``BENCH_offline.json``.
+``offline.*`` spans and snapshotted by
+``benchmarks/test_bench_offline.py`` into ``BENCH_offline.json``,
+against the seed-kernel pipeline kept as a test oracle in
+``tests/core/poset_oracle.py``.
 Callers that need the width, partition, and timestamps of the *same*
 computation should build the poset once and use
 :meth:`OfflineRealizerClock.timestamp_poset` (see the usage cookbook) so

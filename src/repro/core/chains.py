@@ -54,14 +54,11 @@ class BipartiteMatcher:
     limit.  Internally vertices are insertion indices; values are only
     hashed once at construction and translated back at the API boundary.
 
-    Adjacency comes in two interchangeable representations: explicit
-    per-left index lists, or one integer bitmask per left vertex
-    (:meth:`from_bitmask_rows`, fed straight from
-    ``Poset.above_bit_rows``).  The bitmask mode replaces per-edge
-    neighbour scans with word-parallel mask intersections while making
-    exactly the same augmenting choices — both modes visit candidate
-    right vertices in ascending index order — so the matching, and
-    everything derived from it, is identical either way.
+    Adjacency is held as one integer bitmask of right indices per left
+    vertex (:meth:`from_bitmask_rows` takes those rows directly, e.g.
+    ``Poset.above_bit_rows``), so neighbour scans are word-parallel
+    mask intersections.  Candidate right vertices are always tried in
+    ascending index order, whatever order ``adjacency`` lists them in.
     """
 
     def __init__(
@@ -70,33 +67,14 @@ class BipartiteMatcher:
         right: Sequence[Element],
         adjacency: Dict[Element, Sequence[Element]],
     ):
-        left_values = list(left)
-        right_values = list(right)
-        right_index = {v: j for j, v in enumerate(right_values)}
-        adj = [
-            [right_index[v] for v in adjacency.get(u, ())]
-            for u in left_values
-        ]
-        self._init_from_indices(left_values, right_values, adj)
-
-    @classmethod
-    def from_adjacency_lists(
-        cls,
-        left: Sequence[Element],
-        right: Sequence[Element],
-        adjacency: Sequence[Sequence[int]],
-    ) -> "BipartiteMatcher":
-        """Build from pre-resolved right-vertex *indices* per left vertex.
-
-        Skips the per-edge hashing of the value-based constructor; the
-        comparability matcher feeds the poset's cached successor index
-        straight in.
-        """
-        matcher = cls.__new__(cls)
-        matcher._init_from_indices(
-            list(left), list(right), [list(row) for row in adjacency]
-        )
-        return matcher
+        right_index = {v: j for j, v in enumerate(right)}
+        rows = []
+        for u in left:
+            row = 0
+            for v in adjacency.get(u, ()):
+                row |= 1 << right_index[v]
+            rows.append(row)
+        self._start(left, right, rows)
 
     @classmethod
     def from_bitmask_rows(
@@ -112,30 +90,21 @@ class BipartiteMatcher:
         straight in, so no per-edge adjacency is ever materialized.
         """
         matcher = cls.__new__(cls)
-        matcher._left = list(left)
-        matcher._right = list(right)
-        matcher._adj = None
-        matcher._adj_masks = list(rows)
-        matcher._free_right_mask = (1 << len(matcher._right)) - 1
-        matcher._match_left = [_FREE] * len(matcher._left)
-        matcher._match_right = [_FREE] * len(matcher._right)
-        matcher._matching_size = 0
-        matcher._solved = False
+        matcher._start(left, right, rows)
         return matcher
 
-    def _init_from_indices(
+    def _start(
         self,
-        left_values: List[Element],
-        right_values: List[Element],
-        adj: List[List[int]],
+        left: Sequence[Element],
+        right: Sequence[Element],
+        rows: Sequence[int],
     ) -> None:
-        self._left = left_values
-        self._right = right_values
-        self._adj = adj
-        self._adj_masks: "List[int] | None" = None
-        self._free_right_mask = 0
-        self._match_left: List[int] = [_FREE] * len(left_values)
-        self._match_right: List[int] = [_FREE] * len(right_values)
+        self._left = list(left)
+        self._right = list(right)
+        self._adj_masks = list(rows)
+        self._free_right_mask = (1 << len(self._right)) - 1
+        self._match_left: List[int] = [_FREE] * len(self._left)
+        self._match_right: List[int] = [_FREE] * len(self._right)
         self._matching_size = 0
         self._solved = False
 
@@ -155,24 +124,15 @@ class BipartiteMatcher:
             self._solved = True
 
     def _run_phases(self) -> None:
-        masked = self._adj_masks is not None
         while True:
-            if masked:
-                layers = self._bfs_layers_masks()
-            else:
-                layers = self._bfs_layers()
+            layers = self._bfs_layers()
             if layers is None:
                 break
-            if masked:
-                eligible = self._rights_by_partner_layer(layers)
+            eligible = self._rights_by_partner_layer(layers)
             augmented = 0
             for u in range(len(self._left)):
                 if self._match_left[u] == _FREE:
-                    if masked:
-                        hit = self._dfs_augment_masks(u, layers, eligible)
-                    else:
-                        hit = self._dfs_augment(u, layers)
-                    if hit:
+                    if self._dfs_augment(u, layers, eligible):
                         augmented += 1
             if augmented == 0:
                 break
@@ -193,78 +153,15 @@ class BipartiteMatcher:
         return list(self._match_left)
 
     # ------------------------------------------------------------------
+    # Phases.  The lowest set bit of a mask intersection is "the first
+    # eligible right vertex in ascending order", so each step is a
+    # word-parallel AND/OR instead of a per-edge scan.
+    # ------------------------------------------------------------------
     def _bfs_layers(self) -> Optional[List[int]]:
         """Layer left vertices by shortest alternating path from a free one.
 
         Returns ``None`` when no augmenting path exists.
         """
-        match_left = self._match_left
-        match_right = self._match_right
-        layers = [_UNLAYERED] * len(self._left)
-        queue: deque = deque()
-        for u in range(len(self._left)):
-            if match_left[u] == _FREE:
-                layers[u] = 0
-                queue.append(u)
-        found_free_right = False
-        while queue:
-            u = queue.popleft()
-            next_layer = layers[u] + 1
-            for v in self._adj[u]:
-                w = match_right[v]
-                if w == _FREE:
-                    found_free_right = True
-                elif layers[w] == _UNLAYERED:
-                    layers[w] = next_layer
-                    queue.append(w)
-        return layers if found_free_right else None
-
-    def _dfs_augment(self, root: int, layers: List[int]) -> bool:
-        """Search for one augmenting path from free left vertex ``root``.
-
-        Explicit-stack DFS: each frame is ``[u, edge_iterator, chosen_v]``.
-        On reaching a free right vertex the whole stack is flipped into
-        the matching; dead ends are retired from this phase's layering so
-        sibling searches skip them (the layered-graph pruning Hopcroft–
-        Karp relies on for its complexity bound).
-        """
-        adj = self._adj
-        match_left = self._match_left
-        match_right = self._match_right
-        stack: List[List] = [[root, iter(adj[root]), _FREE]]
-        while stack:
-            frame = stack[-1]
-            u = frame[0]
-            next_layer = layers[u] + 1
-            descended = False
-            for v in frame[1]:
-                w = match_right[v]
-                if w == _FREE:
-                    # Free right vertex: flip every edge on the stack.
-                    frame[2] = v
-                    for fu, _edges, fv in stack:
-                        match_left[fu] = fv
-                        match_right[fv] = fu
-                    self._matching_size += 1
-                    return True
-                if layers[w] == next_layer:
-                    frame[2] = v
-                    stack.append([w, iter(adj[w]), _FREE])
-                    descended = True
-                    break
-            if not descended:
-                layers[u] = _RETIRED
-                stack.pop()
-        return False
-
-    # ------------------------------------------------------------------
-    # Bitmask-mode phases.  Same traversal order as the list mode — the
-    # lowest set bit of a mask intersection is exactly "the first
-    # eligible right vertex in ascending order" — so both modes compute
-    # the same matching; only the per-step cost differs (word-parallel
-    # AND/OR instead of per-edge scans).
-    # ------------------------------------------------------------------
-    def _bfs_layers_masks(self) -> Optional[List[int]]:
         match_left = self._match_left
         match_right = self._match_right
         masks = self._adj_masks
@@ -306,15 +203,15 @@ class BipartiteMatcher:
                 eligible[layer] = eligible.get(layer, 0) | (1 << v)
         return eligible
 
-    def _dfs_augment_masks(
+    def _dfs_augment(
         self, root: int, layers: List[int], eligible: Dict[int, int]
     ) -> bool:
-        """Mask-mode augmenting search from free left vertex ``root``.
+        """Search for one augmenting path from free left vertex ``root``.
 
         A frame's candidate rights are ``adj[u] & (free ∪ rights whose
         partner sits on the next layer)``; within one root's search that
         mask only shrinks (dead ends retire their right), so taking the
-        lowest set bit at each resume reproduces the list-mode scan.
+        lowest set bit at each resume is an ascending scan of ``adj[u]``.
         Augmenting flips re-home each flipped right into its new
         partner's layer mask so later roots in the phase see the
         updated matching.
@@ -378,32 +275,20 @@ class BipartiteMatcher:
             if match_left[u] == _FREE:
                 visited_left[u] = True
                 queue.append(u)
-        if masks is not None:
-            visited_right_mask = 0
-            while queue:
-                u = queue.popleft()
-                newly = masks[u] & ~visited_right_mask
-                visited_right_mask |= newly
-                while newly:
-                    low = newly & -newly
-                    v = low.bit_length() - 1
-                    newly ^= low
-                    visited_right[v] = True
-                    w = match_right[v]
-                    if w != _FREE and not visited_left[w]:
-                        visited_left[w] = True
-                        queue.append(w)
-        else:
-            while queue:
-                u = queue.popleft()
-                for v in self._adj[u]:
-                    if visited_right[v]:
-                        continue
-                    visited_right[v] = True
-                    w = match_right[v]
-                    if w != _FREE and not visited_left[w]:
-                        visited_left[w] = True
-                        queue.append(w)
+        visited_right_mask = 0
+        while queue:
+            u = queue.popleft()
+            newly = masks[u] & ~visited_right_mask
+            visited_right_mask |= newly
+            while newly:
+                low = newly & -newly
+                v = low.bit_length() - 1
+                newly ^= low
+                visited_right[v] = True
+                w = match_right[v]
+                if w != _FREE and not visited_left[w]:
+                    visited_left[w] = True
+                    queue.append(w)
         left_cover = {
             self._left[u]
             for u in range(len(self._left))
@@ -434,18 +319,12 @@ def _comparability_matcher(poset: Poset) -> BipartiteMatcher:
     if matcher is None:
         elements = poset.elements
         # The poset's closed bitmask rows are exactly the bipartite
-        # adjacency (x_left -> y_right iff x < y); posets without the
-        # bitset kernel (the reference implementation) fall back to the
-        # cached successor index, which yields the same matching.
-        rows = getattr(poset, "above_bit_rows", None)
-        if rows is not None:
-            matcher = BipartiteMatcher.from_bitmask_rows(
-                elements, elements, rows()
-            )
-        else:
-            matcher = BipartiteMatcher.from_adjacency_lists(
-                elements, elements, poset.successor_index()
-            )
+        # adjacency (x_left -> y_right iff x < y).  The frozen list-fed
+        # Hopcroft–Karp over the same order (``reference_chain_partition``
+        # in ``tests/core/poset_oracle.py``) yields the same matching.
+        matcher = BipartiteMatcher.from_bitmask_rows(
+            elements, elements, poset.above_bit_rows()
+        )
         _MATCHER_CACHE[poset] = matcher
     return matcher
 

@@ -12,55 +12,30 @@ kernel (:mod:`repro.core.lattice_kernel`): by Theorem 8 the message
 poset splits into at most ``floor(N/2)`` chains, every ideal is a
 tuple of per-chain prefix lengths, and the kernel walks that encoding
 with O(width) mask operations per ideal.  The pre-kernel layered BFS
-is preserved as :func:`ideals_reference` — the executable
+is kept in ``tests/core/poset_oracle.py`` — the executable
 specification the property tests and benchmarks compare against.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Hashable, Iterable, Iterator, List, Set
+from typing import FrozenSet, Hashable, Iterable, Iterator, List
 
 from repro.core import lattice_kernel
 from repro.core.lattice_kernel import popcount
 from repro.core.poset import Poset, iter_bits
-from repro.exceptions import PosetError
 
 Element = Hashable
 
 
-def _bitset_rows(poset):
-    """The kernel's closed below-rows, or ``None`` for posets (such as
-    :class:`repro.core.poset_reference.ReferencePoset`) without them."""
-    rows = getattr(poset, "below_bit_rows", None)
-    return rows() if rows is not None else None
-
-
 def is_down_set(poset: Poset, subset: Iterable[Element]) -> bool:
     """True when the subset contains everything below each member."""
-    below = _bitset_rows(poset)
-    if below is None:
-        chosen: Set[Element] = set(subset)
-        for element in chosen:
-            if element not in poset:
-                raise PosetError(f"element {element!r} not in poset")
-            if not poset.strictly_below(element) <= chosen:
-                return False
-        return True
     mask = lattice_kernel.mask_of(poset, subset)
     return lattice_kernel.is_ideal_mask(poset, mask)
 
 
 def down_closure(poset: Poset, subset: Iterable[Element]) -> FrozenSet[Element]:
     """The smallest ideal containing ``subset``."""
-    below = _bitset_rows(poset)
-    if below is None:
-        closure: Set[Element] = set()
-        for element in subset:
-            if element not in poset:
-                raise PosetError(f"element {element!r} not in poset")
-            closure.add(element)
-            closure.update(poset.strictly_below(element))
-        return frozenset(closure)
+    below = poset.below_bit_rows()
     mask = lattice_kernel.mask_of(poset, subset)
     closed = mask
     m = mask
@@ -85,50 +60,11 @@ def all_ideals(
     whole lattice is enumerated on the first ``next()``, so the limit
     fires up front rather than mid-iteration.
     """
-    if _bitset_rows(poset) is None:
-        yield from ideals_reference(poset, limit=limit)
-        return
     masks = list(lattice_kernel.iterate_ideal_masks(poset, limit=limit))
     masks.sort(key=popcount)
     elements = poset.elements
     for mask in masks:
         yield frozenset(elements[b] for b in iter_bits(mask))
-
-
-def ideals_reference(
-    poset: Poset, limit: int = 100_000
-) -> Iterator[FrozenSet[Element]]:
-    """The pre-kernel layered BFS, kept as the executable specification.
-
-    An ideal of size ``k + 1`` is an ideal of size ``k`` plus one
-    element minimal in the complement; each layer is generated from
-    the previous with per-element frozenset closures and de-duplicated
-    by hashing — exponential with a large constant, which is exactly
-    what ``BENCH_lattice.json`` measures the kernel against.
-
-    Within a layer the iteration order is unspecified (the historical
-    ``sorted(map(repr, ...))`` tiebreak was a determinism hack, not a
-    contract); the *canonical* order of the library is the kernel's
-    chain-prefix order as re-layered by :func:`all_ideals`.  Compare
-    the two as sets, the way the property suite does.
-    """
-    current: Set[FrozenSet[Element]] = {frozenset()}
-    produced = 0
-    while current:
-        next_layer: Set[FrozenSet[Element]] = set()
-        for ideal in current:
-            produced += 1
-            if produced > limit:
-                raise PosetError(
-                    f"poset has more than {limit} ideals; raise the limit"
-                )
-            yield ideal
-            for element in poset.elements:
-                if element in ideal:
-                    continue
-                if poset.strictly_below(element) <= ideal:
-                    next_layer.add(ideal | {element})
-        current = next_layer
 
 
 def ideal_count(poset: Poset, limit: int = 100_000) -> int:
@@ -137,8 +73,6 @@ def ideal_count(poset: Poset, limit: int = 100_000) -> int:
     Counts through :func:`repro.core.lattice_kernel.count_ideals`
     without materializing a single frozenset.
     """
-    if _bitset_rows(poset) is None:
-        return sum(1 for _ in ideals_reference(poset, limit=limit))
     return lattice_kernel.count_ideals(poset, limit=limit)
 
 
@@ -161,17 +95,7 @@ def maximal_elements_of_ideal(
     closure of its frontier), which is how consistent cuts are usually
     reported to users.
     """
-    above_rows = getattr(poset, "above_bit_rows", None)
-    if above_rows is None:
-        return [
-            element
-            for element in poset.elements
-            if element in ideal
-            and not any(
-                other in ideal for other in poset.strictly_above(element)
-            )
-        ]
-    above = above_rows()
+    above = poset.above_bit_rows()
     mask = lattice_kernel.mask_of(poset, ideal, strict=False)
     elements = poset.elements
     return [

@@ -27,9 +27,9 @@ poset's insertion positions, and the whole lattice is walked by a
 
 Per ideal the work is O(width) big-int operations — no frozensets, no
 per-layer dedup, no hashing — which is what turns the previously
-exponential-with-a-huge-constant layered BFS of
-:func:`repro.core.ideals.ideals_reference` into a memory-light
-traversal that counts ``2^16`` global states in well under a second.
+exponential-with-a-huge-constant layered BFS (kept as a test oracle
+in ``tests/core/poset_oracle.py``) into a memory-light traversal that
+counts ``2^16`` global states in well under a second.
 
 The canonical enumeration order ("chain-prefix order") is depth-first
 preorder, children by ascending insertion position of the added

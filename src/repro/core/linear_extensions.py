@@ -96,13 +96,13 @@ def _forced_extensions(
     """The chain-forced extension of each chain, from shared tables.
 
     What depends on the poset alone is built once: the element index,
-    the successor lists, their in-degrees and the sources.  Bitset
-    posets list their cover rows, other posets their full successor
-    index; a FIFO Kahn sort emits the same order over either, since an
-    element's last-placed predecessor is always one of its covers and
-    newly-ready elements queue in ascending index order.  Each chain
-    then costs one in-degree copy and one sweep: ``O(w * (n + covers))``
-    for the whole family.
+    the cover successor lists, their in-degrees and the sources.  A FIFO
+    Kahn sort over the covers emits the same order as one over the full
+    successor lists (the frozen sweep in ``tests/core/realizer_oracle.py``
+    runs on either), since an element's last-placed predecessor is
+    always one of its covers and newly-ready elements queue in ascending
+    index order.  Each chain then costs one in-degree copy and one
+    sweep: ``O(w * (n + covers))`` for the whole family.
 
     A chain element whose in-degree reaches zero is held back and
     released when the queue runs dry, which is exactly when the
@@ -119,13 +119,7 @@ def _forced_extensions(
     elements = poset.elements
     n = len(elements)
     index = dict(zip(elements, range(n)))
-    cover_rows = getattr(poset, "cover_bit_rows", None)
-    if cover_rows is not None:
-        successors: Sequence[Sequence[int]] = [
-            list(iter_bits(row)) for row in cover_rows()
-        ]
-    else:
-        successors = poset.successor_index()
+    successors = [list(iter_bits(row)) for row in poset.cover_bit_rows()]
     indegree0 = [0] * n
     for row in successors:
         for j in row:

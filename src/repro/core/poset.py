@@ -22,8 +22,8 @@ word-parallel OR-sweep over a topological order, the covering relation
 is a per-row mask subtraction, and pair enumerations are bit
 extractions — the representation that makes the offline (Figure 9)
 pipeline fast at scale.  ``tests/properties`` pins this kernel as
-observationally identical to the reference dict-of-sets implementation
-kept in :mod:`repro.core.poset_reference`.
+observationally identical to the seed dict-of-sets implementation,
+kept only as a test oracle in ``tests/core/poset_oracle.py``.
 
 Elements may be any hashable values.  Iteration order over elements is
 the insertion order, which keeps every algorithm in the library
@@ -82,7 +82,6 @@ class Poset:
         "_index",
         "_above_bits",
         "_below_bits",
-        "_succ_index",
         "_cover_bits",
         "_cover_pair_cache",
         "__weakref__",
@@ -93,7 +92,6 @@ class Poset:
         elements: Iterable[Element],
         relation: Iterable[Tuple[Element, Element]] = (),
     ):
-        self._succ_index: "Tuple[Tuple[int, ...], ...] | None" = None
         self._cover_bits: "List[int] | None" = None
         self._cover_pair_cache: "List[Tuple[Element, Element]] | None" = None
         self._elements: List[Element] = []
@@ -148,7 +146,6 @@ class Poset:
         poset._index = {e: i for i, e in enumerate(elements)}
         poset._above_bits = above_bits
         poset._below_bits = below_bits
-        poset._succ_index = None
         poset._cover_bits = None
         poset._cover_pair_cache = None
         return poset
@@ -268,23 +265,6 @@ class Poset:
     def strictly_above(self, element: Element) -> FrozenSet[Element]:
         """All elements strictly greater than ``element``."""
         return self._members(self._above_bits[self._require(element)])
-
-    def successor_index(self) -> Tuple[Tuple[int, ...], ...]:
-        """The strict order as insertion-index adjacency, cached.
-
-        ``successor_index()[i]`` lists (sorted ascending) the insertion
-        indices of every element strictly above ``elements[i]``.  Kept
-        for callers that want explicit adjacency lists; the bitmask rows
-        (:meth:`above_bit_rows`) carry the same information without
-        materializing the tuples.
-        """
-        cached = self._succ_index
-        if cached is None:
-            cached = tuple(
-                tuple(iter_bits(row)) for row in self._above_bits
-            )
-            self._succ_index = cached
-        return cached
 
     def down_set(self, element: Element) -> FrozenSet[Element]:
         """The principal ideal: ``element`` and all elements below it."""

@@ -18,7 +18,7 @@ from typing import Generic, List, Optional, TypeVar
 
 from repro.clocks.base import MessageTimestamper, TimestampAssignment
 from repro.core.poset import Poset
-from repro.exceptions import EncodingViolationError
+from repro.exceptions import EncodingViolationError, PosetError
 from repro.order.message_order import message_poset
 from repro.sim.computation import SyncComputation, SyncMessage
 
@@ -92,29 +92,22 @@ def check_encoding(
     concurrent = 0
     messages = computation.messages
 
-    # Ground-truth lookups: one bit probe per direction when the poset
-    # exposes its bitmask rows and covers every message, else the
-    # generic element API (which also preserves the unknown-element
-    # PosetError behaviour for partial posets).
-    rows_accessor = getattr(poset, "above_bit_rows", None)
-    positions: "List[int] | None" = None
-    if rows_accessor is not None:
-        index = {element: i for i, element in enumerate(poset.elements)}
-        if all(m in index for m in messages):
-            above_rows = rows_accessor()
-            positions = [index[m] for m in messages]
+    # Ground-truth lookups: one bit probe per direction.  A poset that
+    # misses a message cannot answer for it, so that message is named.
+    index = {element: i for i, element in enumerate(poset.elements)}
+    for m in messages:
+        if m not in index:
+            raise PosetError(f"element {m!r} not in poset")
+    above_rows = poset.above_bit_rows()
+    positions = [index[m] for m in messages]
 
     for i, m1 in enumerate(messages):
+        pi = positions[i]
         for j in range(i + 1, len(messages)):
             m2 = messages[j]
-            if positions is not None:
-                pi = positions[i]
-                pj = positions[j]
-                truth_forward = (above_rows[pi] >> pj) & 1 == 1
-                truth_backward = (above_rows[pj] >> pi) & 1 == 1
-            else:
-                truth_forward = poset.less(m1, m2)
-                truth_backward = poset.less(m2, m1)
+            pj = positions[j]
+            truth_forward = (above_rows[pi] >> pj) & 1 == 1
+            truth_backward = (above_rows[pj] >> pi) & 1 == 1
             for first, second, truth in (
                 (m1, m2, truth_forward),
                 (m2, m1, truth_backward),

@@ -132,27 +132,13 @@ def cut_from_messages(
     return Cut(kept)
 
 
-def mask_is_consistent(
-    computation: SyncComputation, poset: Poset, mask: int
-) -> bool:
-    """Down-set test for a kept-message bitmask, on the kernel's rows.
-
-    ``poset`` must be the message poset of ``computation`` (insertion
-    positions equal to global message indices, as
-    :func:`repro.order.message_order.message_poset` guarantees); the
-    check is then one closed-row AND per kept message.
-    """
-    from repro.core.lattice_kernel import is_ideal_mask
-
-    return is_ideal_mask(poset, mask)
-
-
 def is_consistent(
     computation: SyncComputation,
     cut: Cut,
     poset: Poset = None,
 ) -> bool:
     """Check the two consistency conditions of the module docstring."""
+    from repro.core.lattice_kernel import is_ideal_mask, mask_of
     from repro.order.message_order import message_poset
 
     cut.validate_against(computation)
@@ -172,20 +158,14 @@ def is_consistent(
         if prefix & ~agreed_mask:
             return False
 
-    # (b) down-set under ↦: one closed-row AND per kept message when
-    # the poset's insertion positions are the global message indices
-    # (always true for ``message_poset``); otherwise the portable
-    # frozenset walk.
-    if (
-        getattr(poset, "below_bit_rows", None) is not None
-        and poset.elements == computation.messages
-    ):
-        return mask_is_consistent(computation, poset, agreed_mask)
-    agreed = cut.messages(computation)
-    for message in agreed:
-        if not poset.strictly_below(message) <= agreed:
-            return False
-    return True
+    # (b) down-set under ↦: one closed-row AND per kept message.  The
+    # agreed mask is over global message indices, which are the poset's
+    # insertion positions for ``message_poset``; any other poset gets
+    # the kept set re-masked over its own positions.
+    mask = agreed_mask
+    if poset.elements != computation.messages:
+        mask = mask_of(poset, cut.messages(computation))
+    return is_ideal_mask(poset, mask)
 
 
 def snapshot_at(

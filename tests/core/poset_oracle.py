@@ -1,21 +1,26 @@
-"""The pre-bitset dict-of-sets poset kernel, kept as a specification.
+"""Frozen seed poset kernel and ideal BFS: the test oracles for ``src``.
 
-:class:`repro.core.poset.Poset` stores the order as bitmask rows; this
-module preserves the original representation — one Python ``set`` of
-elements above/below per element — byte for byte in behaviour.  It
-exists for two reasons:
+:class:`ReferencePoset` is the pre-bitset dict-of-sets poset (one
+Python ``set`` of elements above/below per element, ``O(n³)`` covers)
+and :func:`ideals_reference` the pre-kernel layered BFS over frozensets,
+both kept verbatim.  The library only takes the bitset
+:class:`repro.core.poset.Poset`; these are compared with it, never fed
+into it:
 
-* the Hypothesis suite in ``tests/properties`` replays random
-  computations through both kernels and demands identical closures,
-  covers, incomparable pairs, widths, and realizer ranks, so the bitset
-  kernel can never silently drift from the semantics the rest of the
-  library was verified against;
-* ``benchmarks/test_bench_offline.py`` runs the full offline (Figure 9)
-  pipeline on both kernels and snapshots the old-vs-new speedup to
-  ``BENCH_offline.json``.
+* ``tests/properties`` replays random computations through both poset
+  kernels and demands identical closures, covers, incomparable pairs,
+  widths, chain partitions, realizers and offline stamps, and identical
+  ideal sets and counts from both enumerators;
+* ``benchmarks/test_bench_offline.py`` and
+  ``benchmarks/test_bench_lattice.py`` time the library against them.
 
-It is **not** part of the public API and nothing on a hot path may
-import it.  The only deliberate deviation from the original:
+:func:`reference_chain_partition` and :func:`reference_offline` build
+the Dilworth partition and the Figure 9 stamps from oracle pieces and
+public API only: the frozen list-fed Hopcroft–Karp (:class:`ListMatcher`)
+over :meth:`ReferencePoset.successor_index`, the per-chain realizer sweep of
+:mod:`tests.core.realizer_oracle`, and its rank assembly.
+
+The only deliberate deviation from the seed:
 :meth:`ReferencePoset.same_order_as` compares via the public
 ``strictly_above`` accessor so it can be checked against a bitset-backed
 poset, not just another reference one.
@@ -23,6 +28,7 @@ poset, not just another reference one.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import (
     Dict,
     FrozenSet,
@@ -35,7 +41,12 @@ from typing import (
     Tuple,
 )
 
+from repro.core.poset import Poset
+from repro.core.vector import VectorTimestamp
 from repro.exceptions import NotAPartialOrderError, PosetError
+from repro.order.message_order import covering_pairs
+from repro.sim.computation import SyncComputation
+from tests.core import realizer_oracle
 
 Element = Hashable
 
@@ -315,3 +326,165 @@ def _topological_order(
     if len(order) != len(elements):
         return None
     return order
+
+
+def ideals_reference(
+    poset: Poset, limit: int = 100_000
+) -> Iterator[FrozenSet[Element]]:
+    """The pre-kernel layered BFS, kept as the executable specification.
+
+    An ideal of size ``k + 1`` is an ideal of size ``k`` plus one
+    element minimal in the complement; each layer is generated from
+    the previous with per-element frozenset closures and de-duplicated
+    by hashing — exponential with a large constant, which is exactly
+    what ``BENCH_lattice.json`` measures the kernel against.
+
+    Within a layer the iteration order is unspecified (the historical
+    ``sorted(map(repr, ...))`` tiebreak was a determinism hack, not a
+    contract); the *canonical* order of the library is the kernel's
+    chain-prefix order as re-layered by :func:`all_ideals`.  Compare
+    the two as sets, the way the property suite does.
+    """
+    current: Set[FrozenSet[Element]] = {frozenset()}
+    produced = 0
+    while current:
+        next_layer: Set[FrozenSet[Element]] = set()
+        for ideal in current:
+            produced += 1
+            if produced > limit:
+                raise PosetError(
+                    f"poset has more than {limit} ideals; raise the limit"
+                )
+            yield ideal
+            for element in poset.elements:
+                if element in ideal:
+                    continue
+                if poset.strictly_below(element) <= ideal:
+                    next_layer.add(ideal | {element})
+        current = next_layer
+
+
+#: Sentinel index for an unmatched vertex.
+_FREE = -1
+#: BFS layer value meaning "not layered this phase".
+_UNLAYERED = -1
+#: Layer value of vertices retired as dead ends this phase.
+_RETIRED = -3
+
+
+class ListMatcher:
+    """The list-fed Hopcroft–Karp the library shipped before it went
+    bitmask-only, kept verbatim: per-edge scans of ``adj[u]`` (right
+    indices, tried in list order) and an explicit-stack DFS."""
+
+    def __init__(self, adj: Sequence[Sequence[int]], right_count: int):
+        self._adj = [list(row) for row in adj]
+        self._match_left: List[int] = [_FREE] * len(self._adj)
+        self._match_right: List[int] = [_FREE] * right_count
+
+    def solve(self) -> List[int]:
+        """Matched right index per left index (``-1`` = unmatched)."""
+        while True:
+            layers = self._bfs_layers()
+            if layers is None:
+                break
+            augmented = 0
+            for u in range(len(self._adj)):
+                if self._match_left[u] == _FREE:
+                    if self._dfs_augment(u, layers):
+                        augmented += 1
+            if augmented == 0:
+                break
+        return list(self._match_left)
+
+    def _bfs_layers(self) -> "List[int] | None":
+        match_left = self._match_left
+        match_right = self._match_right
+        layers = [_UNLAYERED] * len(self._adj)
+        queue: deque = deque()
+        for u in range(len(self._adj)):
+            if match_left[u] == _FREE:
+                layers[u] = 0
+                queue.append(u)
+        found_free_right = False
+        while queue:
+            u = queue.popleft()
+            next_layer = layers[u] + 1
+            for v in self._adj[u]:
+                w = match_right[v]
+                if w == _FREE:
+                    found_free_right = True
+                elif layers[w] == _UNLAYERED:
+                    layers[w] = next_layer
+                    queue.append(w)
+        return layers if found_free_right else None
+
+    def _dfs_augment(self, root: int, layers: List[int]) -> bool:
+        adj = self._adj
+        match_left = self._match_left
+        match_right = self._match_right
+        stack: List[List] = [[root, iter(adj[root]), _FREE]]
+        while stack:
+            frame = stack[-1]
+            u = frame[0]
+            next_layer = layers[u] + 1
+            descended = False
+            for v in frame[1]:
+                w = match_right[v]
+                if w == _FREE:
+                    frame[2] = v
+                    for fu, _edges, fv in stack:
+                        match_left[fu] = fv
+                        match_right[fv] = fu
+                    return True
+                if layers[w] == next_layer:
+                    frame[2] = v
+                    stack.append([w, iter(adj[w]), _FREE])
+                    descended = True
+                    break
+            if not descended:
+                layers[u] = _RETIRED
+                stack.pop()
+        return False
+
+
+def reference_chain_partition(ref: ReferencePoset) -> List[List[Element]]:
+    """A minimum chain partition from the list-fed :class:`ListMatcher`.
+
+    The matcher scans :meth:`ReferencePoset.successor_index` (ascending,
+    so candidates are tried in the order the library's bitmask matcher
+    tries them); the chains follow the matched edges from every
+    unmatched right vertex, the walk of
+    :func:`repro.core.chains.minimum_chain_partition`.
+    """
+    elements = list(ref.elements)
+    match_left = ListMatcher(ref.successor_index(), len(elements)).solve()
+    has_predecessor = {v for v in match_left if v != _FREE}
+    chains: List[List[Element]] = []
+    for i, element in enumerate(elements):
+        if i in has_predecessor:
+            continue
+        chain = [element]
+        current = i
+        while match_left[current] != _FREE:
+            current = match_left[current]
+            chain.append(elements[current])
+        chains.append(chain)
+    return chains
+
+
+def reference_offline(
+    computation: SyncComputation,
+) -> Tuple[List[List[Element]], Dict[Element, VectorTimestamp]]:
+    """The Figure 9 pipeline on oracle pieces: ``(realizer, stamps)``.
+
+    ``ReferencePoset`` over the covering pairs, then
+    :func:`reference_chain_partition`, the frozen per-chain realizer
+    sweep and its per-message rank assembly.  For a non-empty
+    computation the realizer has one extension per chain, so its length
+    is the offline vector size.
+    """
+    poset = ReferencePoset(computation.messages, covering_pairs(computation))
+    chains = reference_chain_partition(poset)
+    realizer = realizer_oracle.realizer_from_chain_partition(poset, chains)
+    return realizer, realizer_oracle.rank_vectors(poset, realizer)

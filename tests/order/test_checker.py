@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -10,10 +11,15 @@ from repro.clocks.base import TimestampAssignment
 from repro.clocks.lamport import LamportMessageClock
 from repro.clocks.online import OnlineEdgeClock
 from repro.core.vector import VectorTimestamp
-from repro.exceptions import EncodingViolationError, UnknownMessageError
+from repro.exceptions import (
+    EncodingViolationError,
+    PosetError,
+    UnknownMessageError,
+)
 from repro.graphs.decomposition import decompose
 from repro.graphs.generators import complete_topology, path_topology
 from repro.order.checker import assert_characterizes, check_encoding
+from repro.order.message_order import message_poset
 from repro.sim.computation import SyncComputation
 from repro.sim.workload import random_computation
 
@@ -130,6 +136,33 @@ class TestCheckerAcceptsCorrect:
         report = assert_characterizes(clock, computation)
         assert report.ordered_pairs == 1
         assert report.concurrent_pairs == 0
+
+
+class TestPartialPoset:
+    @pytest.mark.parametrize("missing_at", [0, 3, 7])
+    def test_poset_missing_a_message_raises(self, missing_at):
+        computation = random_computation(
+            complete_topology(4), 8, random.Random(9)
+        )
+        clock = OnlineEdgeClock(decompose(computation.topology))
+        assignment = clock.timestamp_computation(computation)
+        missing = computation.messages[missing_at]
+        partial = message_poset(computation).restricted_to(
+            m for m in computation.messages if m != missing
+        )
+        with pytest.raises(PosetError, match=re.escape(repr(missing))):
+            check_encoding(clock, assignment, poset=partial)
+
+    def test_single_message_missing_raises(self):
+        computation = SyncComputation.from_pairs(
+            path_topology(2), [("P1", "P2")]
+        )
+        clock = OnlineEdgeClock(decompose(computation.topology))
+        assignment = clock.timestamp_computation(computation)
+        (only,) = computation.messages
+        partial = message_poset(computation).restricted_to([])
+        with pytest.raises(PosetError, match=re.escape(repr(only))):
+            check_encoding(clock, assignment, poset=partial)
 
 
 class TestAssignment:

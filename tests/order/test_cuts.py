@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.clocks.online import OnlineEdgeClock
-from repro.core.ideals import all_ideals
+from repro.core.ideals import all_ideals, down_closure
+from repro.core.poset import Poset
 from repro.core.vector import VectorTimestamp
 from repro.exceptions import SimulationError
 from repro.graphs.decomposition import decompose
@@ -21,7 +22,7 @@ from repro.order.cuts import (
     is_consistent,
     snapshot_at,
 )
-from repro.order.message_order import message_poset
+from repro.order.message_order import covering_pairs, message_poset
 from repro.sim.computation import SyncComputation
 from repro.sim.workload import random_computation
 from tests.strategies import computations
@@ -90,6 +91,66 @@ class TestBijectionWithIdeals:
             assert is_consistent(computation, cut, poset=poset)
             cuts.add(cut.messages(computation))
         assert cuts == ideals
+
+
+class TestShuffledPoset:
+    """``is_consistent`` with a caller-supplied poset whose insertion
+    order is not ``computation.messages`` order."""
+
+    @staticmethod
+    def _setup():
+        rng = random.Random(7)
+        computation = random_computation(complete_topology(5), 14, rng)
+        shuffled = list(computation.messages)
+        while tuple(shuffled) == computation.messages:
+            rng.shuffle(shuffled)
+        return rng, computation, shuffled
+
+    def test_shuffled_insertion_order_agrees(self):
+        rng, computation, shuffled = self._setup()
+        poset = Poset(shuffled, covering_pairs(computation))
+        cut_list = [
+            Cut(
+                {
+                    p: rng.randint(0, len(computation.process_messages(p)))
+                    for p in computation.processes
+                }
+            )
+            for _ in range(40)
+        ]
+        cut_list += [
+            cut_from_messages(
+                computation,
+                down_closure(poset, rng.sample(computation.messages, k)),
+            )
+            for k in range(len(computation) + 1)
+        ]
+        expected = [is_consistent(computation, cut) for cut in cut_list]
+        assert True in expected and False in expected
+        assert [
+            is_consistent(computation, cut, poset=poset) for cut in cut_list
+        ] == expected
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_extra_relation_rejects_cut(self, shuffle):
+        """A poset ordering two concurrent messages ``a < b`` rejects the
+        down-closure of ``b``, which keeps ``b`` without ``a`` — a cut
+        the message order itself accepts."""
+        _, computation, shuffled = self._setup()
+        order = message_poset(computation)
+        a, b = next(
+            (x, y)
+            for x in computation.messages
+            for y in computation.messages
+            if x != y and order.concurrent(x, y)
+        )
+        pairs = list(covering_pairs(computation)) + [(a, b)]
+        elements = shuffled if shuffle else list(computation.messages)
+        stricter = Poset(elements, pairs)
+        cut = cut_from_messages(computation, down_closure(order, [b]))
+        assert a not in cut.messages(computation)
+        assert is_consistent(computation, cut)
+        assert not is_consistent(computation, cut, poset=stricter)
 
 
 class TestSnapshotAt:

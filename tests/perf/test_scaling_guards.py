@@ -38,7 +38,6 @@ POSET_TABLE_ACCESSORS = (
     "above_bit_rows",
     "cover_bit_rows",
     "_cover_rows",
-    "successor_index",
 )
 
 

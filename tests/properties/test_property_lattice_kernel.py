@@ -1,6 +1,6 @@
 """The chain-indexed lattice kernel matches the layered-BFS reference.
 
-:func:`repro.core.ideals.ideals_reference` preserves the pre-kernel
+:func:`tests.core.poset_oracle.ideals_reference` preserves the pre-kernel
 frozenset BFS verbatim as the executable specification.  Every property
 drives a random message poset through both enumerators and demands the
 same ideal *sets* and the same counts — the kernel's canonical
@@ -14,7 +14,7 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 
 from repro.core import lattice_kernel
-from repro.core.ideals import all_ideals, ideal_count, ideals_reference, is_down_set
+from repro.core.ideals import all_ideals, ideal_count, is_down_set
 from repro.core.lattice_kernel import (
     count_ideals,
     count_ideals_between,
@@ -23,6 +23,7 @@ from repro.core.lattice_kernel import (
     mask_of,
     members_of_mask,
 )
+from tests.core.poset_oracle import ideals_reference
 from tests.strategies import posets_from_computations
 
 RELAXED = settings(

@@ -6,11 +6,13 @@ popcount threshold.  The library now builds the tables once per poset
 and releases the held element when the queue runs dry.  The properties
 below require the same extension for every chain, the same realizer
 for every chain family, the same offline stamps and the same
-``PosetError`` messages, on the bitset :class:`Poset` and on the
-:class:`ReferencePoset` kernel.  Chains come from the minimum and
-greedy partitions and from arbitrary sub-chains: shuffled, with
-duplicated elements, or empty.  Besides message posets, random orders
-whose insertion order does not follow the order are drawn as well.
+``PosetError`` messages.  The library always runs on the bitset
+:class:`Poset`; the oracle runs on a :class:`Poset` or a
+:class:`ReferencePoset` built from the same insertion order and pairs.
+Chains come from the minimum and greedy partitions and from arbitrary
+sub-chains: shuffled, with duplicated elements, or empty.  Besides
+message posets, random orders whose insertion order does not follow the
+order are drawn as well.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from repro.core.linear_extensions import (
     realizer_from_chain_partition,
 )
 from repro.core.poset import Poset
-from repro.core.poset_reference import ReferencePoset
 from repro.exceptions import PosetError
 from repro.order.message_order import covering_pairs
 from tests.core import realizer_oracle
+from tests.core.poset_oracle import ReferencePoset
 from tests.strategies import computations
 
 RELAXED = settings(
@@ -38,17 +40,26 @@ RELAXED = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
+#: The oracle side's kernel; the library side always gets a ``Poset``.
 KERNELS = st.sampled_from([Poset, ReferencePoset])
 
 
 @st.composite
+def _library_and_oracle(draw, elements, pairs):
+    """``(Poset, oracle poset)`` over one insertion order and pair list."""
+    return Poset(elements, pairs), draw(KERNELS)(elements, pairs)
+
+
+@st.composite
 def computed_posets(draw):
-    """A random computation and its message poset on either kernel."""
+    """A random computation and its message poset, library and oracle."""
     computation = draw(computations(max_messages=30))
-    kernel = draw(KERNELS)
-    return computation, kernel(
-        computation.messages, covering_pairs(computation)
+    poset, oracle = draw(
+        _library_and_oracle(
+            computation.messages, covering_pairs(computation)
+        )
     )
+    return computation, poset, oracle
 
 
 @st.composite
@@ -63,11 +74,12 @@ def shuffled_orders(draw):
         if ranks[x] < ranks[y] and draw(st.integers(0, 3)) == 0
     ]
     insertion = draw(st.permutations(range(n)))
-    return draw(KERNELS)(insertion, pairs)
+    return draw(_library_and_oracle(insertion, pairs))
 
 
+#: ``(library Poset, oracle poset)`` pairs.
 POSETS = st.one_of(
-    computed_posets().map(lambda pair: pair[1]), shuffled_orders()
+    computed_posets().map(lambda drawn: drawn[1:]), shuffled_orders()
 )
 
 
@@ -99,42 +111,45 @@ def arbitrary_chain(draw, poset):
 class TestExtensionsMatchOracle:
     @RELAXED
     @given(POSETS, st.sampled_from(["minimum", "greedy"]))
-    def test_partition_realizers_identical(self, poset, strategy):
+    def test_partition_realizers_identical(self, pair, strategy):
+        poset, oracle = pair
         if len(poset) == 0:
             chains = []
         else:
             chains = _partition(poset, strategy)
         assert realizer_from_chain_partition(poset, chains) == (
-            realizer_oracle.realizer_from_chain_partition(poset, chains)
+            realizer_oracle.realizer_from_chain_partition(oracle, chains)
         )
 
     @RELAXED
     @given(st.data(), POSETS)
-    def test_arbitrary_chain_extensions_identical(self, data, poset):
+    def test_arbitrary_chain_extensions_identical(self, data, pair):
+        poset, oracle = pair
         if len(poset) == 0:
             chain = []
         else:
             chain = data.draw(arbitrary_chain(poset))
         assert chain_forced_extension(poset, chain) == (
-            realizer_oracle.chain_forced_extension(poset, chain)
+            realizer_oracle.chain_forced_extension(oracle, chain)
         )
 
     @RELAXED
     @given(st.data(), POSETS)
-    def test_arbitrary_chain_families_identical(self, data, poset):
+    def test_arbitrary_chain_families_identical(self, data, pair):
+        poset, oracle = pair
         if len(poset) == 0:
             return
         family = data.draw(
             st.lists(arbitrary_chain(poset), min_size=1, max_size=5)
         )
         assert realizer_from_chain_partition(poset, family) == (
-            realizer_oracle.realizer_from_chain_partition(poset, family)
+            realizer_oracle.realizer_from_chain_partition(oracle, family)
         )
 
     @RELAXED
     @given(computed_posets(), st.sampled_from(["matching", "greedy"]))
-    def test_offline_stamps_identical(self, pair, strategy):
-        computation, poset = pair
+    def test_offline_stamps_identical(self, drawn, strategy):
+        computation, poset, oracle = drawn
         clock = OfflineRealizerClock(chain_strategy=strategy)
         assignment = clock.timestamp_poset(computation, poset)
         if len(poset) == 0:
@@ -142,10 +157,10 @@ class TestExtensionsMatchOracle:
             return
         chains = clock.chain_partition
         realizer = realizer_oracle.realizer_from_chain_partition(
-            poset, chains
+            oracle, chains
         )
         assert clock.realizer == realizer
-        expected = realizer_oracle.rank_vectors(poset, realizer)
+        expected = realizer_oracle.rank_vectors(oracle, realizer)
         assert [m for m, _ in assignment.items()] == list(expected)
         for message, stamp in expected.items():
             got = assignment.of(message)
@@ -156,7 +171,8 @@ class TestExtensionsMatchOracle:
 class TestErrorParity:
     @RELAXED
     @given(st.data(), POSETS)
-    def test_foreign_element(self, data, poset):
+    def test_foreign_element(self, data, pair):
+        poset, oracle = pair
         chain = [] if len(poset) == 0 else data.draw(arbitrary_chain(poset))
         foreign = ("not", "in", "poset")
         at = data.draw(st.integers(0, len(chain)))
@@ -164,12 +180,13 @@ class TestErrorParity:
         new = _raised(chain_forced_extension, poset, chain)
         assert new == ("error", f"chain element {foreign!r} not in poset")
         assert new == _raised(
-            realizer_oracle.chain_forced_extension, poset, chain
+            realizer_oracle.chain_forced_extension, oracle, chain
         )
 
     @RELAXED
     @given(st.data(), POSETS)
-    def test_non_chain(self, data, poset):
+    def test_non_chain(self, data, pair):
+        poset, oracle = pair
         incomparable = poset.incomparable_pairs()
         if not incomparable:
             return
@@ -178,19 +195,24 @@ class TestErrorParity:
         new = _raised(realizer_from_chain_partition, poset, family)
         assert new == ("error", "chain_forced_extension requires a chain")
         assert new == _raised(
-            realizer_oracle.realizer_from_chain_partition, poset, family
+            realizer_oracle.realizer_from_chain_partition, oracle, family
         )
+
+    def test_empty_family_library(self):
+        poset = Poset("ab", [("a", "b")])
+        assert _raised(realizer_from_chain_partition, poset, []) == (
+            "error",
+            "empty chain family for a non-empty poset",
+        )
+        assert realizer_from_chain_partition(Poset([]), []) == [[]]
 
     @pytest.mark.parametrize("kernel", [Poset, ReferencePoset])
     def test_empty_family(self, kernel):
-        poset = kernel("ab", [("a", "b")])
-        new = _raised(realizer_from_chain_partition, poset, [])
-        assert new == ("error", "empty chain family for a non-empty poset")
-        assert new == _raised(
-            realizer_oracle.realizer_from_chain_partition, poset, []
-        )
-        empty = kernel([])
-        assert realizer_from_chain_partition(empty, []) == [[]]
+        assert _raised(
+            realizer_oracle.realizer_from_chain_partition,
+            kernel("ab", [("a", "b")]),
+            [],
+        ) == ("error", "empty chain family for a non-empty poset")
         assert realizer_oracle.realizer_from_chain_partition(
-            empty, []
+            kernel([]), []
         ) == [[]]
